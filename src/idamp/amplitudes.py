@@ -13,9 +13,6 @@ from .errors import AmplitudeError
 
 Amplitude = complex
 
-#: Slack allowed on the unit-disk invariant for physical amplitudes.
-UNIT_DISK_SLACK = 1e-12
-
 #: Probabilities within this window above 1 are clamped to 1; beyond it they
 #: are a contract violation.
 PROBABILITY_CLAMP = 1e-12
@@ -42,12 +39,6 @@ def amp_sum(a: complex, b: complex) -> complex:
 def amp_conjugate(a: complex) -> complex:
     """Amplitude of the time-reversed process."""
     return ensure_finite(a).conjugate()
-
-
-def in_unit_disk(a: complex, slack: float = UNIT_DISK_SLACK) -> bool:
-    """True when |a|^2 <= 1 + slack."""
-    a = complex(a)
-    return a.real * a.real + a.imag * a.imag <= 1.0 + slack
 
 
 def probability(a: complex) -> float:

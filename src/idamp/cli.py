@@ -151,10 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except IdampError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (IdampError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

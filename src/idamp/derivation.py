@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .amplitudes import probability
-from .errors import MatrixShapeError, MatrixSizeError
+from .errors import IdampError, MatrixShapeError, MatrixSizeError
 from .kernels import (
     ExchangeClass,
     as_square_matrix,
@@ -341,7 +341,7 @@ def check_functional_equations(
     both equations but is not a regraduation of amplitudes.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise IdampError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     f = candidate
     deviation = abs(f(1 + 0j) - (1 + 0j))

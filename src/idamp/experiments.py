@@ -17,7 +17,14 @@ Complex entries are [re, im] pairs. ``steps[k]`` maps the outcomes of
 measurement k (rows) to those of measurement k+1 (columns). ``finals`` is an
 explicit list of configurations or the token "all". With the "resolved"
 policy an ``intermediates`` list supplies one configuration per interior
-measurement; "coarse" sums over every intermediate configuration instead.
+measurement. "coarse" leaves the interior measurements unobserved; by
+Cauchy-Binet, summing over their configurations is the same as one step
+through the product of the step matrices. Bosons and fermions take the
+permanent or determinant of the restricted product ``A1 @ ... @ Ak``;
+distinguishable particles take the permanent of the restricted
+``|A1|^2 @ ... @ |Ak|^2`` (entrywise squared moduli, not ``|A1 @ ... @ Ak|^2``)
+over the final weight. The cost does not grow with the number of
+intermediate configurations.
 """
 
 from __future__ import annotations
@@ -26,12 +33,12 @@ import json
 import statistics
 import time
 from dataclasses import dataclass, replace
+from functools import reduce
 from importlib import resources
 from typing import Iterable
 
 import numpy as np
 
-from ._version import __version__
 from .amplitudes import clamp_probability
 from .errors import (
     ExperimentFormatError,
@@ -45,17 +52,15 @@ from .kernels import (
     n_particle_amplitude,
     permanent_naive,
     permanent_ryser,
+    weight_permanent,
 )
 from .sampling import unit_disk_matrix
 from .sequences import (
+    ENTRY_SLACK,
     Configuration,
-    MeasurementSequence,
     MeasurementStep,
     all_configurations,
-    distinct_configurations,
     occupancy_weight,
-    restrict_matrix,
-    sequence_amplitude,
 )
 
 #: Slack for the [0, 1] window on reported probabilities.
@@ -63,8 +68,6 @@ _TABLE_PROB_WINDOW = 1e-9
 
 #: Allowed deviation of a sampled distribution's total probability from 1.
 _SAMPLING_NORM_TOL = 1e-6
-
-_ENTRY_SLACK = 1e-12
 
 _CLASS_NAMES = {c.value: c for c in ExchangeClass}
 
@@ -113,8 +116,6 @@ class ResultRow:
 class ResultTable:
     rows: tuple[ResultRow, ...]
     spec_name: str
-    engine_version: str
-    seed: int | None
 
     def to_csv(self) -> str:
         lines = ["final,class,amp_re,amp_im,probability"]
@@ -169,7 +170,7 @@ def _parse_entry(value, path: str) -> complex:
     ):
         _fail(path, f"complex entries must be [re, im] number pairs, got {value!r}")
     entry = complex(float(value[0]), float(value[1]))
-    if abs(entry) > 1.0 + _ENTRY_SLACK:
+    if abs(entry) > 1.0 + ENTRY_SLACK:
         _fail(path, f"entry modulus {abs(entry)!r} exceeds the unit disk")
     return entry
 
@@ -341,117 +342,64 @@ def _final_configurations(spec: ExperimentSpec) -> tuple[Configuration, ...]:
     return tuple(sorted(spec.finals, key=lambda c: c.items))
 
 
-def _weight_permanent(matrix: np.ndarray) -> float:
-    """Permanent of an entrywise squared-modulus matrix, clamped at 0."""
-    weights = matrix.real * matrix.real + matrix.imag * matrix.imag
-    value = permanent_ryser(weights).real
-    return max(value, 0.0)
-
-
-def _amplitude_results(
+def _class_results(
     spec: ExperimentSpec,
     finals: tuple[Configuration, ...],
     exchange_class: ExchangeClass,
-) -> dict[Configuration, tuple[complex, float]]:
-    results: dict[Configuration, tuple[complex, float]] = {}
-    if spec.intermediate_policy == "resolved":
-        for final in finals:
-            configs = (spec.initial, *spec.intermediates, final)
-            seq = MeasurementSequence(configurations=configs, steps=spec.steps)
-            amplitude = sequence_amplitude(seq, exchange_class)
-            norm = 1
-            for k in range(len(spec.steps)):
+) -> dict[Configuration, tuple[complex | None, float]]:
+    """Amplitude (None for distinguishable rows) and probability per final.
+
+    Bosons and fermions chain the step matrices, distinguishable particles
+    their entrywise squared moduli. Under the "coarse" policy the unobserved
+    measurements are summed out by multiplying the chained matrices
+    (Cauchy-Binet), which leaves one link from the initial to the final
+    measurement; both policies then share the per-final code below.
+    """
+    distinguishable = exchange_class is ExchangeClass.DISTINGUISHABLE
+    matrices = [step.matrix for step in spec.steps]
+    if distinguishable:
+        matrices = [a.real * a.real + a.imag * a.imag for a in matrices]
+    observed = range(len(spec.measurements))
+    interior = spec.intermediates
+    if spec.intermediate_policy == "coarse":
+        matrices = [reduce(np.matmul, matrices)]
+        observed = (0, len(spec.measurements) - 1)
+        interior = ()
+    index = [{label: i for i, label in enumerate(spec.measurements[m])} for m in observed]
+
+    results: dict[Configuration, tuple[complex | None, float]] = {}
+    for final in finals:
+        configs = (spec.initial, *interior, final)
+        amplitude = 1 + 0j
+        probability = 1.0
+        norm = 1
+        for k, matrix in enumerate(matrices):
+            rows = [index[k][label] for label in configs[k].expanded]
+            cols = [index[k + 1][label] for label in configs[k + 1].expanded]
+            restricted = matrix[np.ix_(rows, cols)]
+            if distinguishable:
+                probability *= weight_permanent(restricted) / occupancy_weight(configs[k + 1])
+            else:
+                amplitude *= n_particle_amplitude(restricted, exchange_class)
                 norm *= occupancy_weight(configs[k]) * occupancy_weight(configs[k + 1])
-            probability = clamp_probability(
-                abs(amplitude) ** 2 / norm, window=_TABLE_PROB_WINDOW
-            )
-            results[final] = (amplitude, probability)
-        return results
-
-    # Coarse policy: dynamic programming over all intermediate configurations,
-    # dividing each summed-over configuration by its occupancy weight.
-    dp: dict[Configuration, complex] = {spec.initial: 1 + 0j}
-    n = spec.particle_count
-    for k, step in enumerate(spec.steps):
-        last = k == len(spec.steps) - 1
-        if last:
-            targets = finals
-        elif exchange_class is ExchangeClass.FERMION:
-            targets = distinct_configurations(spec.measurements[k + 1], n)
+        if distinguishable:
+            amplitude = None
         else:
-            targets = all_configurations(spec.measurements[k + 1], n)
-        new_dp: dict[Configuration, complex] = {}
-        sources = sorted(dp, key=lambda c: c.items)
-        for target in targets:
-            acc = 0j
-            for source in sources:
-                weight = occupancy_weight(source) if k > 0 else 1
-                restricted = restrict_matrix(step, source, target)
-                acc += dp[source] * n_particle_amplitude(restricted, exchange_class) / weight
-            new_dp[target] = acc
-        dp = new_dp
-    norm_initial = occupancy_weight(spec.initial)
-    for final in finals:
-        amplitude = dp.get(final, 0j)
-        norm = norm_initial * occupancy_weight(final)
-        probability = clamp_probability(abs(amplitude) ** 2 / norm, window=_TABLE_PROB_WINDOW)
-        results[final] = (amplitude, probability)
-    return results
-
-
-def _distinguishable_results(
-    spec: ExperimentSpec, finals: tuple[Configuration, ...]
-) -> dict[Configuration, tuple[None, float]]:
-    results: dict[Configuration, tuple[None, float]] = {}
-    if spec.intermediate_policy == "resolved":
-        for final in finals:
-            configs = (spec.initial, *spec.intermediates, final)
-            probability = 1.0
-            for k, step in enumerate(spec.steps):
-                restricted = restrict_matrix(step, configs[k], configs[k + 1])
-                probability *= _weight_permanent(restricted) / occupancy_weight(configs[k + 1])
-            results[final] = (None, clamp_probability(probability, window=_TABLE_PROB_WINDOW))
-        return results
-
-    dp: dict[Configuration, float] = {spec.initial: 1.0}
-    n = spec.particle_count
-    for k, step in enumerate(spec.steps):
-        last = k == len(spec.steps) - 1
-        targets = finals if last else all_configurations(spec.measurements[k + 1], n)
-        new_dp: dict[Configuration, float] = {}
-        sources = sorted(dp, key=lambda c: c.items)
-        for target in targets:
-            acc = 0.0
-            for source in sources:
-                restricted = restrict_matrix(step, source, target)
-                acc += dp[source] * _weight_permanent(restricted)
-            new_dp[target] = acc / occupancy_weight(target)
-        dp = new_dp
-    for final in finals:
-        results[final] = (
-            None,
-            clamp_probability(dp.get(final, 0.0), window=_TABLE_PROB_WINDOW),
-        )
+            probability = abs(amplitude) ** 2 / norm
+        results[final] = (amplitude, clamp_probability(probability, window=_TABLE_PROB_WINDOW))
     return results
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """One row per (final configuration, exchange class), in canonical order."""
     finals = _final_configurations(spec)
-    per_class: dict[ExchangeClass, dict] = {}
-    for exchange_class in spec.exchange_classes:
-        if exchange_class is ExchangeClass.DISTINGUISHABLE:
-            per_class[exchange_class] = _distinguishable_results(spec, finals)
-        else:
-            per_class[exchange_class] = _amplitude_results(spec, finals, exchange_class)
+    per_class = {cls: _class_results(spec, finals, cls) for cls in spec.exchange_classes}
     rows = []
     for final in finals:
         for exchange_class in spec.exchange_classes:
             amplitude, prob = per_class[exchange_class][final]
             rows.append(ResultRow(final, exchange_class, amplitude, prob))
-    return ResultTable(
-        rows=tuple(rows), spec_name=spec.name, engine_version=__version__, seed=None
-    )
+    return ResultTable(rows=tuple(rows), spec_name=spec.name)
 
 
 def sample_outcomes(

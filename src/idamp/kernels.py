@@ -316,9 +316,17 @@ def distinguishable_probability(matrix) -> float:
         raise AmplitudeError(
             f"row squared moduli must sum to <= 1, max {row_sums.max()!r}"
         )
+    return weight_permanent(weights)
+
+
+def weight_permanent(weights) -> float:
+    """Permanent of an entrywise nonnegative matrix of squared moduli.
+
+    The value is mathematically nonnegative; inclusion-exclusion round-off
+    down to -1e-12 is reported as 0, anything lower raises.
+    """
     value = permanent_ryser(weights).real
     if value < 0.0:
-        # Inclusion-exclusion round-off on a mathematically nonnegative value.
         if value < -1e-12:
             raise AmplitudeError(f"negative probability {value!r}")
         value = 0.0

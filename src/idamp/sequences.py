@@ -21,7 +21,7 @@ from .errors import ExchangeClassError, SequenceError
 from .kernels import ExchangeClass, n_particle_amplitude
 
 #: Slack on the unit-disk invariant for step matrix entries.
-_ENTRY_SLACK = 1e-12
+ENTRY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class MeasurementStep:
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise SequenceError(f"step {self.label!r}: matrix entries must be finite")
         moduli = np.abs(a)
-        if np.any(moduli > 1.0 + _ENTRY_SLACK):
+        if np.any(moduli > 1.0 + ENTRY_SLACK):
             raise SequenceError(
                 f"step {self.label!r}: entry modulus {moduli.max()!r} exceeds the unit disk"
             )

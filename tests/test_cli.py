@@ -54,6 +54,14 @@ def test_run_invalid_file(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def test_run_directory(tmp_path, capsys):
+    code = main(["run", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_verify_small(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code = main(["verify", "--seed", "7", "--samples", "200", "--json", str(report_path)])
@@ -73,6 +81,14 @@ def test_verify_env_seed(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_verify_zero_samples(capsys):
+    code = main(["verify", "--samples", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_sample_csv(capsys):
     code = main(
         [
@@ -90,6 +106,14 @@ def test_sample_csv(capsys):
     assert code == 0
     assert out.splitlines()[0] == "final,count"
     assert "out0:1;out1:1,100" in out
+
+
+def test_sample_directory(tmp_path, capsys):
+    code = main(["sample", str(tmp_path), "--draws", "10", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_bench_smoke(capsys):

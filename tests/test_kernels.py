@@ -20,6 +20,7 @@ from idamp.kernels import (
     permanent_naive,
     permanent_ryser,
     two_particle_amplitude,
+    weight_permanent,
 )
 from idamp.sampling import unit_disk_matrix
 
@@ -230,3 +231,15 @@ def test_distinguishable_probability_values():
 def test_distinguishable_probability_row_check():
     with pytest.raises(AmplitudeError):
         distinguishable_probability(np.full((2, 2), 0.9))
+
+
+def test_weight_permanent_roundoff_policy(monkeypatch):
+    # a repeated column breaks distinguishable_probability's row check, but
+    # the weight permanent itself is still a valid probability numerator
+    weights = np.array([[0.69, 0.69], [0.2, 0.2]])
+    assert weight_permanent(weights) == pytest.approx(2 * 0.69 * 0.2, abs=1e-15)
+    monkeypatch.setattr("idamp.kernels.permanent_ryser", lambda a: complex(-5e-13))
+    assert weight_permanent(weights) == 0.0
+    monkeypatch.setattr("idamp.kernels.permanent_ryser", lambda a: complex(-2e-12))
+    with pytest.raises(AmplitudeError, match="negative probability"):
+        weight_permanent(weights)
