@@ -66,6 +66,7 @@ from .kernels import (
     determinant_naive,
     distinguishable_probability,
     n_particle_amplitude,
+    n_particle_amplitudes,
     permanent_naive,
     permanent_ryser,
     two_particle_amplitude,

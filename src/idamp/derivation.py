@@ -14,7 +14,10 @@ fully antisymmetric (determinant):
   collapse holds for multiplicative sign maps on larger symmetric groups.
 
 Checks return VerificationReport records; run_full_derivation_suite executes
-all of them with seeded sweeps.
+all of them with seeded sweeps. Each identity has one implementation, a
+deviation function over a stack of samples: a sweep draws its samples as
+arrays, in blocks of SAMPLE_BLOCK, and a single-instance verifier passes a
+stack of one.
 """
 
 from __future__ import annotations
@@ -29,13 +32,8 @@ import numpy as np
 
 from .amplitudes import probability
 from .errors import IdampError, MatrixShapeError, MatrixSizeError
-from .kernels import (
-    ExchangeClass,
-    as_square_matrix,
-    n_particle_amplitude,
-    two_particle_amplitude,
-)
-from .sampling import unit_disk_matrix, unit_disk_sample
+from .kernels import ExchangeClass, as_square_matrix, n_particle_amplitudes
+from .sampling import unit_disk
 
 #: A counterexample function must miss one of the functional equations by
 #: more than this margin to count as rejected.
@@ -44,7 +42,13 @@ REJECTION_MARGIN = 0.1
 #: Largest symmetric group for the sign-character enumeration (n! domain).
 CHARACTER_MAX_N = 6
 
-PairAmplitudeFn = Callable[[np.ndarray, ExchangeClass], complex]
+#: Sweeps draw and evaluate their samples in blocks of at most this many,
+#: which bounds their memory. A sample's index in the whole sweep, not in its
+#: block, decides its matrix size or column.
+SAMPLE_BLOCK = 2048
+
+#: Maps a (S, 2, 2) stack to its (S,) joint amplitudes.
+PairAmplitudeFn = Callable[[np.ndarray, ExchangeClass], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -105,30 +109,31 @@ def suite_passed(reports: Iterable[VerificationReport]) -> bool:
 
 @dataclass(frozen=True)
 class CandidateFunction:
-    """Named deterministic map from amplitudes to amplitudes."""
+    """Named deterministic map from amplitudes to amplitudes, applied
+    elementwise to an array of amplitudes."""
 
     name: str
-    evaluator: Callable[[complex], complex]
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z: np.ndarray) -> np.ndarray:
         return self.evaluator(z)
 
 
 def identity_candidate() -> CandidateFunction:
-    return CandidateFunction("identity", lambda z: complex(z))
+    return CandidateFunction("identity", lambda z: z)
 
 
 def conjugation_candidate() -> CandidateFunction:
-    return CandidateFunction("conjugation", lambda z: complex(z).conjugate())
+    return CandidateFunction("conjugation", np.conj)
 
 
 def counterexample_candidates() -> list[CandidateFunction]:
     """Functions the equation checker must reject."""
     return [
-        CandidateFunction("doubling", lambda z: 2.0 * complex(z)),
-        CandidateFunction("squaring", lambda z: complex(z) * complex(z)),
-        CandidateFunction("modulus", lambda z: complex(abs(complex(z)), 0.0)),
-        CandidateFunction("zero", lambda z: 0j),
+        CandidateFunction("doubling", lambda z: 2.0 * z),
+        CandidateFunction("squaring", lambda z: z * z),
+        CandidateFunction("modulus", lambda z: np.abs(z) + 0j),
+        CandidateFunction("zero", np.zeros_like),
     ]
 
 
@@ -213,6 +218,31 @@ def _check_pair_matrix(matrix) -> np.ndarray:
     return a
 
 
+def _check_sweep_args(samples: int, tol: float) -> None:
+    if samples < 1:
+        raise IdampError(f"samples must be >= 1, got {samples}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise IdampError(f"tol must be finite and >= 0, got {tol!r}")
+
+
+def _blocks(samples: int):
+    """(index of the first sample, size) of each block of a sweep."""
+    for start in range(0, samples, SAMPLE_BLOCK):
+        yield start, min(SAMPLE_BLOCK, samples - start)
+
+
+def _sweep_max(samples: int, block_deviations) -> float:
+    """Largest of the per-sample deviations block_deviations(start, size)
+    returns for each block."""
+    return max(float(np.max(block_deviations(start, size))) for start, size in _blocks(samples))
+
+
+def _pair_stack(a00, a01, a10, a11) -> np.ndarray:
+    """(S, 2, 2) stack with the given entries; scalars broadcast over the stack."""
+    entries = np.stack(np.broadcast_arrays(a00, a01, a10, a11), axis=-1)
+    return entries.reshape(-1, 2, 2).astype(np.complex128, copy=False)
+
+
 _S2 = ((0, 1), (1, 0))
 
 
@@ -222,20 +252,20 @@ def _chi(perm: tuple[int, ...], exchange_class: ExchangeClass) -> int:
 
 def _factorization_deviation(
     a: np.ndarray, b: np.ndarray, exchange_class: ExchangeClass, pair_fn: PairAmplitudeFn
-) -> float:
+) -> np.ndarray:
     lhs = pair_fn(a, exchange_class) * pair_fn(b, exchange_class)
     # The right-hand side may use only the eight composite path amplitudes
     # a[i,k]*b[k,j], never a and b factors separately.
-    composite = [[[a[i, k] * b[k, j] for j in range(2)] for k in range(2)] for i in range(2)]
-    rhs = 0j
+    composite = a[:, :, :, None] * b[:, None, :, :]  # [sample, i, k, j]
+    rhs = np.zeros(len(composite), dtype=np.complex128)
     for pi in _S2:
         for rho in _S2:
-            term = 1 + 0j
-            for i in range(2):
-                k = pi[i]
-                term *= composite[i][k][rho[k]]
-            rhs += _chi(pi, exchange_class) * _chi(rho, exchange_class) * term
-    return abs(lhs - rhs)
+            term = composite[:, 0, pi[0], rho[pi[0]]] * composite[:, 1, pi[1], rho[pi[1]]]
+            if _chi(pi, exchange_class) * _chi(rho, exchange_class) > 0:
+                rhs = rhs + term
+            else:
+                rhs = rhs - term
+    return np.abs(lhs - rhs)
 
 
 def verify_two_step_factorization(
@@ -247,23 +277,27 @@ def verify_two_step_factorization(
 ) -> VerificationReport:
     """Check that the product of two pair amplitudes equals the sum over the
     four path-product assignments built from the eight composite amplitudes."""
-    pair_fn = pair_amplitude_fn or two_particle_amplitude
-    deviation = _factorization_deviation(_check_pair_matrix(a), _check_pair_matrix(b), exchange_class, pair_fn)
+    pair_fn = pair_amplitude_fn or n_particle_amplitudes
+    deviation = _factorization_deviation(
+        _check_pair_matrix(a)[None], _check_pair_matrix(b)[None], exchange_class, pair_fn
+    )
     return VerificationReport.from_deviation(
-        f"two-step-factorization-{exchange_class.value}", 1, deviation, tol
+        f"two-step-factorization-{exchange_class.value}", 1, deviation[0], tol
     )
 
 
 def _additivity_deviation(
     m: np.ndarray,
     m2: np.ndarray,
-    column: int,
+    columns: np.ndarray,
     exchange_class: ExchangeClass,
-    amplitude_fn: Callable[[np.ndarray, ExchangeClass], complex],
-) -> float:
+    amplitude_fn: Callable[[np.ndarray, ExchangeClass], np.ndarray],
+) -> np.ndarray:
+    """m[s] and m2[s] differ only in column columns[s]."""
     merged = m.copy()
-    merged[:, column] = m[:, column] + m2[:, column]
-    return abs(
+    samples = np.arange(len(m))
+    merged[samples, :, columns] = m[samples, :, columns] + m2[samples, :, columns]
+    return np.abs(
         amplitude_fn(merged, exchange_class)
         - amplitude_fn(m, exchange_class)
         - amplitude_fn(m2, exchange_class)
@@ -276,7 +310,7 @@ def verify_column_additivity(
     column: int,
     exchange_class: ExchangeClass,
     tol: float = 1e-12,
-    amplitude_fn: Callable[[np.ndarray, ExchangeClass], complex] | None = None,
+    amplitude_fn: Callable[[np.ndarray, ExchangeClass], np.ndarray] | None = None,
 ) -> VerificationReport:
     """Check that summing one column of two otherwise-identical matrices sums
     the joint amplitudes (coarse graining over a middle measurement)."""
@@ -289,29 +323,30 @@ def verify_column_additivity(
     others = [j for j in range(a.shape[1]) if j != column]
     if others and not np.array_equal(a[:, others], a2[:, others]):
         raise MatrixShapeError("matrices must differ only in the given column")
-    fn = amplitude_fn or n_particle_amplitude
-    deviation = _additivity_deviation(a, a2, column, exchange_class, fn)
+    fn = amplitude_fn or n_particle_amplitudes
+    deviation = _additivity_deviation(a[None], a2[None], np.array([column]), exchange_class, fn)
     return VerificationReport.from_deviation(
-        f"column-additivity-{exchange_class.value}", 1, deviation, tol
+        f"column-additivity-{exchange_class.value}", 1, deviation[0], tol
     )
 
 
 def _slide_deviation(
-    u: complex, v: complex, exchange_class: ExchangeClass, pair_fn: PairAmplitudeFn
-) -> float:
-    def h(m) -> complex:
-        return pair_fn(np.array(m, dtype=np.complex128), exchange_class)
+    u: np.ndarray, v: np.ndarray, exchange_class: ExchangeClass, pair_fn: PairAmplitudeFn
+) -> np.ndarray:
+    def h(a00, a01, a10, a11) -> np.ndarray:
+        return pair_fn(_pair_stack(a00, a01, a10, a11), exchange_class)
 
-    swap = [[0, 1], [1, 0]]
-    eye = [[1, 0], [0, 1]]
+    h_swap = h(0, 1, 1, 0)
+    h_eye = h(1, 0, 0, 1)
+    uv = u * v
     # Sliding a diagonal pair through a crossed transition moves the product
     # uv onto a single path.
-    d1 = abs(h([[u, 0], [0, v]]) * h(swap) - h(swap) * h([[u * v, 0], [0, 1]]))
+    d1 = np.abs(h(u, 0, 0, v) * h_swap - h_swap * h(uv, 0, 0, 1))
     # Twin identity for the crossed pair.
-    d2 = abs(h([[0, u], [v, 0]]) * h(eye) - h(swap) * h([[v, 0], [0, u]]))
+    d2 = np.abs(h(0, u, v, 0) * h_eye - h_swap * h(v, 0, 0, u))
     # Multiplicativity of the single-path function.
-    d3 = abs(h([[u * v, 0], [0, 1]]) * h(eye) - h([[u, 0], [0, 1]]) * h([[v, 0], [0, 1]]))
-    return max(d1, d2, d3)
+    d3 = np.abs(h(uv, 0, 0, 1) * h_eye - h(u, 0, 0, 1) * h(v, 0, 0, 1))
+    return np.maximum(np.maximum(d1, d2), d3)
 
 
 def verify_slide_identity(
@@ -322,10 +357,12 @@ def verify_slide_identity(
     pair_amplitude_fn: PairAmplitudeFn | None = None,
 ) -> VerificationReport:
     """Check the amplitude-sliding identities and the induced multiplicativity."""
-    pair_fn = pair_amplitude_fn or two_particle_amplitude
-    deviation = _slide_deviation(complex(u), complex(v), exchange_class, pair_fn)
+    pair_fn = pair_amplitude_fn or n_particle_amplitudes
+    deviation = _slide_deviation(
+        np.array([complex(u)]), np.array([complex(v)]), exchange_class, pair_fn
+    )
     return VerificationReport.from_deviation(
-        f"slide-identities-{exchange_class.value}", 1, deviation, tol
+        f"slide-identities-{exchange_class.value}", 1, deviation[0], tol
     )
 
 
@@ -338,21 +375,28 @@ def check_functional_equations(
     """Max deviation of f from multiplicativity, additivity, and f(1) = 1.
 
     The normalization probe rules out the everywhere-zero map, which solves
-    both equations but is not a regraduation of amplitudes.
+    both equations but is not a regraduation of amplitudes. The fixed pair
+    (1, i) is checked along with the random samples, so that every
+    counterexample misses an equation whatever the sample count: at that pair
+    doubling misses multiplicativity by 2, squaring additivity by 2 and the
+    modulus additivity by 2 - sqrt(2).
     """
-    if samples < 1:
-        raise IdampError(f"samples must be >= 1, got {samples}")
+    _check_sweep_args(samples, tol)
     rng = np.random.default_rng(seed)
     f = candidate
-    deviation = abs(f(1 + 0j) - (1 + 0j))
-    for _ in range(samples):
-        u = unit_disk_sample(rng)
-        v = unit_disk_sample(rng)
-        deviation = max(
-            deviation,
-            abs(f(u * v) - f(u) * f(v)),
-            abs(f(u + v) - (f(u) + f(v))),
-        )
+
+    def equation_deviations(u, v):
+        return np.maximum(np.abs(f(u * v) - f(u) * f(v)), np.abs(f(u + v) - (f(u) + f(v))))
+
+    def block_deviations(start, size):
+        return equation_deviations(unit_disk(rng, size), unit_disk(rng, size))
+
+    one = np.ones(1, dtype=np.complex128)
+    deviation = max(
+        float(np.max(np.abs(f(one) - one))),
+        float(np.max(equation_deviations(one, 1j * one))),
+        _sweep_max(samples, block_deviations),
+    )
     return VerificationReport.from_deviation(
         f"functional-equation-{candidate.name}", samples, deviation, tol
     )
@@ -364,11 +408,9 @@ def verify_reciprocity_constants(
 ) -> VerificationReport:
     """Check the two free constants: the direct and crossed deterministic
     transitions must carry amplitude exactly +1 and +-1, with probability 1."""
-    pair_fn = pair_amplitude_fn or two_particle_amplitude
-    eye = np.eye(2, dtype=np.complex128)
-    swap = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    h_eye = pair_fn(eye, exchange_class)
-    h_swap = pair_fn(swap, exchange_class)
+    pair_fn = pair_amplitude_fn or n_particle_amplitudes
+    eye_and_swap = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], dtype=np.complex128)
+    h_eye, h_swap = (complex(h) for h in pair_fn(eye_and_swap, exchange_class))
     expected_swap = 1.0 if exchange_class is ExchangeClass.BOSON else -1.0
     deviation = max(
         abs(h_eye - 1.0),
@@ -480,14 +522,16 @@ def enumerate_sign_characters(n: int) -> frozenset[SignAssignment]:
     table = np.empty((order, order), dtype=np.int64)
     for i in range(order):
         table[i] = np.searchsorted(keys, p_arr[i][p_arr] @ powers)
-    words = [_adjacent_word(p) for p in perms]
+    # counts[p, t]: how often adjacent transposition t occurs in p's word, so
+    # a candidate's value on p is the parity of counts[p] @ flips.
+    counts = np.array(
+        [np.bincount(np.asarray(_adjacent_word(p), dtype=np.intp), minlength=n - 1) for p in perms]
+    )
     survivors = []
     for bits in range(1 << (n - 1)):
-        eps = [1 - 2 * ((bits >> i) & 1) for i in range(n - 1)]
-        values = np.array(
-            [math.prod((eps[i] for i in word), start=1) for word in words], dtype=np.int64
-        )
-        if np.array_equal(values[table], np.outer(values, values)):
+        flips = (bits >> np.arange(n - 1)) & 1
+        values = (1 - 2 * ((counts @ flips) & 1)).astype(np.int8)
+        if np.array_equal(values[table], np.multiply.outer(values, values)):
             survivors.append(
                 SignAssignment.from_signs({p: int(v) for p, v in zip(perms, values)})
             )
@@ -499,88 +543,103 @@ def enumerate_sign_characters(n: int) -> frozenset[SignAssignment]:
 
 
 def _sweep_factorization(exchange_class, rng, samples, tol, pair_fn) -> VerificationReport:
-    deviation = 0.0
-    for _ in range(samples):
-        a = unit_disk_matrix(rng, 2)
-        b = unit_disk_matrix(rng, 2)
-        deviation = max(deviation, _factorization_deviation(a, b, exchange_class, pair_fn))
+    def block_deviations(start, size):
+        a = unit_disk(rng, (size, 2, 2))
+        b = unit_disk(rng, (size, 2, 2))
+        return _factorization_deviation(a, b, exchange_class, pair_fn)
+
     return VerificationReport.from_deviation(
-        f"two-step-factorization-{exchange_class.value}", samples, deviation, tol
+        f"two-step-factorization-{exchange_class.value}",
+        samples,
+        _sweep_max(samples, block_deviations),
+        tol,
     )
 
 
 def _sweep_additivity(exchange_class, rng, samples, tol, amplitude_fn) -> VerificationReport:
-    deviation = 0.0
-    for i in range(samples):
+    """Sample i replaces column i % n, for n = 2 and n = 3."""
+
+    def block_deviations(start, size):
+        deviations = []
         for n in (2, 3):
-            m = unit_disk_matrix(rng, n)
+            m = unit_disk(rng, (size, n, n))
+            columns = np.arange(start, start + size) % n
             m2 = m.copy()
-            column = i % n
-            m2[:, column] = unit_disk_matrix(rng, n, 1)[:, 0]
-            deviation = max(
-                deviation, _additivity_deviation(m, m2, column, exchange_class, amplitude_fn)
-            )
+            m2[np.arange(size), :, columns] = unit_disk(rng, (size, n))
+            deviations.append(_additivity_deviation(m, m2, columns, exchange_class, amplitude_fn))
+        return np.concatenate(deviations)
+
     return VerificationReport.from_deviation(
-        f"column-additivity-{exchange_class.value}", 2 * samples, deviation, tol
+        f"column-additivity-{exchange_class.value}",
+        2 * samples,
+        _sweep_max(samples, block_deviations),
+        tol,
     )
 
 
 def _sweep_slides(exchange_class, rng, samples, tol, pair_fn) -> VerificationReport:
-    deviation = 0.0
-    for _ in range(samples):
-        u = unit_disk_sample(rng)
-        v = unit_disk_sample(rng)
-        deviation = max(deviation, _slide_deviation(u, v, exchange_class, pair_fn))
+    def block_deviations(start, size):
+        u = unit_disk(rng, size)
+        v = unit_disk(rng, size)
+        return _slide_deviation(u, v, exchange_class, pair_fn)
+
     return VerificationReport.from_deviation(
-        f"slide-identities-{exchange_class.value}", samples, deviation, tol
+        f"slide-identities-{exchange_class.value}",
+        samples,
+        _sweep_max(samples, block_deviations),
+        tol,
     )
 
 
 def _sweep_conjugation_equivariance(rng, samples) -> VerificationReport:
-    """h(conj(M)) must equal conj(h(M)) bit for bit, both classes, n = 2..4."""
-    deviation = 0.0
-    for i in range(samples):
-        n = 2 + (i % 3)
-        m = unit_disk_matrix(rng, n)
-        for exchange_class in (ExchangeClass.BOSON, ExchangeClass.FERMION):
-            value = n_particle_amplitude(np.conj(m), exchange_class)
-            expected = n_particle_amplitude(m, exchange_class).conjugate()
-            deviation = max(deviation, abs(value - expected))
+    """h(conj(M)) must equal conj(h(M)) bit for bit, both classes; sample i
+    is an n x n matrix with n = 2 + i % 3."""
+
+    def block_deviations(start, size):
+        sizes = 2 + np.arange(start, start + size) % 3
+        deviations = []
+        for n in (2, 3, 4):
+            m = unit_disk(rng, (np.count_nonzero(sizes == n), n, n))
+            for exchange_class in (ExchangeClass.BOSON, ExchangeClass.FERMION):
+                value = n_particle_amplitudes(np.conj(m), exchange_class)
+                expected = np.conj(n_particle_amplitudes(m, exchange_class))
+                deviations.append(np.abs(value - expected))
+        return np.concatenate(deviations)
+
     return VerificationReport.from_deviation(
-        "conjugation-equivariance", 2 * samples, deviation, 0.0
+        "conjugation-equivariance", 2 * samples, _sweep_max(samples, block_deviations), 0.0
     )
 
 
 def _sweep_mixed_terms(rng, samples) -> VerificationReport:
     """Splitting a matrix into direct and crossed parts is exact, and the
     mixed (zero-row or zero-column) terms vanish identically."""
-    deviation = 0.0
-    for _ in range(samples):
-        m = unit_disk_matrix(rng, 2)
-        diag_part = np.array([[m[0, 0], 0], [0, m[1, 1]]], dtype=np.complex128)
-        cross_part = np.array([[0, m[0, 1]], [m[1, 0], 0]], dtype=np.complex128)
+
+    def block_deviations(start, size):
+        m = unit_disk(rng, (size, 2, 2))
+        diag_part = _pair_stack(m[:, 0, 0], 0, 0, m[:, 1, 1])
+        cross_part = _pair_stack(0, m[:, 0, 1], m[:, 1, 0], 0)
         zero_row = m.copy()
-        zero_row[1, :] = 0
+        zero_row[:, 1, :] = 0
         zero_col = m.copy()
-        zero_col[:, 0] = 0
-        m3 = unit_disk_matrix(rng, 3)
-        m3_zero = m3.copy()
-        m3_zero[2, :] = 0
+        zero_col[:, :, 0] = 0
+        m3_zero = unit_disk(rng, (size, 3, 3))
+        m3_zero[:, 2, :] = 0
+        deviations = []
         for exchange_class in (ExchangeClass.BOSON, ExchangeClass.FERMION):
+            diag, cross, whole, *mixed = (
+                n_particle_amplitudes(part, exchange_class)
+                for part in (diag_part, cross_part, m, zero_row, zero_col, m3_zero)
+            )
             # Sum the two parts first: the split is exact as an identity on the
             # summed value, not term by term.
-            split = abs(
-                two_particle_amplitude(diag_part, exchange_class)
-                + two_particle_amplitude(cross_part, exchange_class)
-                - two_particle_amplitude(m, exchange_class)
-            )
-            vanish = max(
-                abs(two_particle_amplitude(zero_row, exchange_class)),
-                abs(two_particle_amplitude(zero_col, exchange_class)),
-                abs(n_particle_amplitude(m3_zero, exchange_class)),
-            )
-            deviation = max(deviation, split, vanish)
-    return VerificationReport.from_deviation("mixed-term-vanishing", 2 * samples, deviation, 0.0)
+            deviations.append(np.abs(diag + cross - whole))
+            deviations.extend(np.abs(value) for value in mixed)
+        return np.concatenate(deviations)
+
+    return VerificationReport.from_deviation(
+        "mixed-term-vanishing", 2 * samples, _sweep_max(samples, block_deviations), 0.0
+    )
 
 
 def _check_counterexamples(samples, seed) -> VerificationReport:
@@ -624,15 +683,14 @@ def run_full_derivation_suite(
 
     ``tol`` applies to the floating-point identity sweeps; structural and
     exactness checks use tolerance 0. ``pair_amplitude_fn`` is a test hook
-    replacing the closed-form pair amplitude.
+    replacing the closed-form pair amplitude on (S, 2, 2) stacks.
     """
-    pair_fn = pair_amplitude_fn or two_particle_amplitude
+    _check_sweep_args(samples, tol)
+    pair_fn = pair_amplitude_fn or n_particle_amplitudes
 
-    def amplitude_fn(matrix, exchange_class):
-        a = as_square_matrix(matrix)
-        if a.shape == (2, 2):
-            return pair_fn(a, exchange_class)
-        return n_particle_amplitude(a, exchange_class)
+    def amplitude_fn(stack, exchange_class):
+        fn = pair_fn if stack.shape[-2:] == (2, 2) else n_particle_amplitudes
+        return fn(stack, exchange_class)
 
     reports = []
     for i, exchange_class in enumerate((ExchangeClass.BOSON, ExchangeClass.FERMION)):

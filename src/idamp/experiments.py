@@ -42,6 +42,7 @@ import numpy as np
 from .amplitudes import clamp_probability
 from .errors import (
     ExperimentFormatError,
+    IdampError,
     MatrixSizeError,
     NormalizationError,
 )
@@ -455,7 +456,9 @@ def bench_permanent(max_n: int = 12, repetitions: int = 3, seed: int = 2024) -> 
     """
     if max_n > RYSER_MAX_N:
         raise MatrixSizeError(f"max_n must be <= {RYSER_MAX_N}, got {max_n}")
-    if repetitions <= 0:
+    if repetitions < 0:
+        raise IdampError(f"repetitions must be >= 0, got {repetitions}")
+    if repetitions == 0:
         return []
     rng = np.random.default_rng(seed)
     permanent_ryser(np.eye(2, dtype=np.complex128))  # JIT warmup, untimed

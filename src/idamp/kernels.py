@@ -7,7 +7,10 @@ no amplitude-level function, only a classical probability rule.
 
 Fast kernels (Ryser inclusion-exclusion for the permanent, partially pivoted
 elimination for the determinant) are paired with brute-force permutation
-expansions that act as independent test oracles.
+expansions that act as independent test oracles. n_particle_amplitudes
+evaluates a whole (S, N, N) stack at once for the verifier sweeps; a single
+matrix, as the experiment runner passes, takes the scalar kernels, which cost
+less per call.
 """
 
 from __future__ import annotations
@@ -47,33 +50,40 @@ class ExchangeClass(Enum):
     DISTINGUISHABLE = "distinguishable"
 
 
-def as_square_matrix(matrix) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+def _as_square(matrix, ndim: int) -> np.ndarray:
     a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MatrixShapeError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        kind = "square matrix" if ndim == 2 else "stack of square matrices"
+        raise MatrixShapeError(f"expected a {kind}, got shape {a.shape}")
+    if a.shape[-1] < 1:
         raise MatrixShapeError("matrix dimensions must be >= 1")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise MatrixShapeError("matrix entries must be finite")
     return a
 
 
-def _has_zero_line(a: np.ndarray) -> bool:
+def as_square_matrix(matrix) -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries."""
+    return _as_square(matrix, 2)
+
+
+def _zero_lines(a: np.ndarray):
+    """True where a matrix (trailing two axes) has an all-zero row or column."""
     zero = a == 0
-    return bool(zero.all(axis=1).any() or zero.all(axis=0).any())
+    return zero.all(axis=-1).any(axis=-1) | zero.all(axis=-2).any(axis=-1)
 
 
-def _has_duplicate_lines(a: np.ndarray) -> bool:
-    # Bitwise-equal rows or columns. Duplicates must force an exact zero
-    # determinant; cancellation in floating point is only approximate, so the
-    # elimination kernel cannot be trusted to produce it.
-    n = a.shape[0]
-    for j in range(n):
-        for k in range(j + 1, n):
-            if np.array_equal(a[:, j], a[:, k]) or np.array_equal(a[j], a[k]):
-                return True
-    return False
+def _duplicate_lines(a: np.ndarray):
+    """True where a matrix (trailing two axes) has bitwise-equal rows or columns.
+
+    Duplicates must force an exact zero determinant; cancellation in floating
+    point is only approximate, so elimination cannot be trusted to produce it.
+    """
+    same_columns = (a[..., :, :, None] == a[..., :, None, :]).all(axis=-3)
+    same_rows = (a[..., :, None, :] == a[..., None, :, :]).all(axis=-1)
+    # Every line equals itself (entries are finite), so the n diagonal hits
+    # are always there; any further hit is a repeated line.
+    return (same_columns | same_rows).sum(axis=(-2, -1)) > a.shape[-1]
 
 
 def _batch_parities(batch: np.ndarray) -> np.ndarray:
@@ -211,11 +221,44 @@ def permanent_ryser(matrix) -> complex:
     n = a.shape[0]
     if n > RYSER_MAX_N:
         raise MatrixSizeError(f"permanent_ryser supports n <= {RYSER_MAX_N}, got {n}")
-    if _has_zero_line(a):
+    if _zero_lines(a):
         return 0j
     if _ryser_gray_jit is not None:
         return complex(_ryser_gray_jit(np.ascontiguousarray(a)))
     return _ryser_gray_reference(a)  # pragma: no cover
+
+
+_NO_JOINT_AMPLITUDE = (
+    "distinguishable particles have no joint amplitude; use distinguishable_probability"
+)
+
+
+def _pair_closed_form(a: np.ndarray, exchange_class: ExchangeClass):
+    """a00*a11 +- a01*a10 over the trailing 2x2 axes."""
+    direct = a[..., 0, 0] * a[..., 1, 1]
+    crossed = a[..., 0, 1] * a[..., 1, 0]
+    if exchange_class is ExchangeClass.BOSON:
+        return direct + crossed
+    if exchange_class is ExchangeClass.FERMION:
+        return direct - crossed
+    raise ExchangeClassError(_NO_JOINT_AMPLITUDE)
+
+
+def _triple_closed_form(a: np.ndarray, exchange_class: ExchangeClass):
+    """Six-term permanent (bosons) or determinant (fermions) over the trailing 3x3 axes."""
+    even = (
+        a[..., 0, 0] * a[..., 1, 1] * a[..., 2, 2]
+        + a[..., 0, 1] * a[..., 1, 2] * a[..., 2, 0]
+        + a[..., 0, 2] * a[..., 1, 0] * a[..., 2, 1]
+    )
+    odd = (
+        a[..., 0, 2] * a[..., 1, 1] * a[..., 2, 0],
+        a[..., 0, 0] * a[..., 1, 2] * a[..., 2, 1],
+        a[..., 0, 1] * a[..., 1, 0] * a[..., 2, 2],
+    )
+    if exchange_class is ExchangeClass.BOSON:
+        return even + odd[0] + odd[1] + odd[2]
+    return even - odd[0] - odd[1] - odd[2]
 
 
 def determinant(matrix) -> complex:
@@ -227,23 +270,16 @@ def determinant(matrix) -> complex:
     """
     a = as_square_matrix(matrix)
     n = a.shape[0]
-    if _has_zero_line(a):
+    if _zero_lines(a):
         return 0j
     if n == 1:
         return complex(a[0, 0])
-    if _has_duplicate_lines(a):
+    if _duplicate_lines(a):
         return 0j
     if n == 2:
-        return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+        return complex(_pair_closed_form(a, ExchangeClass.FERMION))
     if n == 3:
-        return complex(
-            a[0, 0] * a[1, 1] * a[2, 2]
-            + a[0, 1] * a[1, 2] * a[2, 0]
-            + a[0, 2] * a[1, 0] * a[2, 1]
-            - a[0, 2] * a[1, 1] * a[2, 0]
-            - a[0, 0] * a[1, 2] * a[2, 1]
-            - a[0, 1] * a[1, 0] * a[2, 2]
-        )
+        return complex(_triple_closed_form(a, ExchangeClass.FERMION))
     u = a.copy()
     sign = 1.0 + 0.0j
     for k in range(n - 1):
@@ -269,16 +305,7 @@ def two_particle_amplitude(matrix, exchange_class: ExchangeClass) -> complex:
     a = as_square_matrix(matrix)
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got shape {a.shape}")
-    direct = a[0, 0] * a[1, 1]
-    crossed = a[0, 1] * a[1, 0]
-    if exchange_class is ExchangeClass.BOSON:
-        return complex(direct + crossed)
-    if exchange_class is ExchangeClass.FERMION:
-        return complex(direct - crossed)
-    raise ExchangeClassError(
-        "distinguishable particles have no joint amplitude; "
-        "use distinguishable_probability"
-    )
+    return complex(_pair_closed_form(a, exchange_class))
 
 
 def n_particle_amplitude(matrix, exchange_class: ExchangeClass) -> complex:
@@ -290,10 +317,7 @@ def n_particle_amplitude(matrix, exchange_class: ExchangeClass) -> complex:
     a = as_square_matrix(matrix)
     n = a.shape[0]
     if exchange_class is ExchangeClass.DISTINGUISHABLE:
-        raise ExchangeClassError(
-            "distinguishable particles have no joint amplitude; "
-            "use distinguishable_probability"
-        )
+        raise ExchangeClassError(_NO_JOINT_AMPLITUDE)
     if n == 1:
         return complex(a[0, 0])
     if n == 2:
@@ -301,6 +325,88 @@ def n_particle_amplitude(matrix, exchange_class: ExchangeClass) -> complex:
     if exchange_class is ExchangeClass.BOSON:
         return permanent_ryser(a)
     return determinant(a)
+
+
+def _permanent_stack(a: np.ndarray) -> np.ndarray:
+    """Gray-code Ryser walk over a (S, n, n) stack: each subset is one
+    array step on the stack axis, in the order _ryser_gray_reference uses."""
+    n = a.shape[-1]
+    columns = np.ascontiguousarray(a.transpose(2, 1, 0))  # columns[j]: (n, S)
+    sums = np.zeros(columns.shape[1:], dtype=np.complex128)
+    total = np.zeros(a.shape[0], dtype=np.complex128)
+    in_subset = [False] * n
+    count = 0
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        if in_subset[j]:
+            sums -= columns[j]
+            count -= 1
+        else:
+            sums += columns[j]
+            count += 1
+        in_subset[j] = not in_subset[j]
+        prod = np.prod(sums, axis=0)
+        if (n - count) & 1:
+            total -= prod
+        else:
+            total += prod
+    return total
+
+
+def _determinant_stack(a: np.ndarray) -> np.ndarray:
+    """Partially pivoted elimination over a (S, n, n) stack. A zero pivot
+    leaves its column untouched (it is divided by 1 instead) and makes the
+    diagonal product exactly 0."""
+    n = a.shape[-1]
+    u = a.copy()
+    samples = np.arange(a.shape[0])
+    det = np.ones(a.shape[0], dtype=np.complex128)
+    for k in range(n - 1):
+        p = k + np.argmax(np.abs(u[:, k:, k]), axis=1)
+        swapped = p != k
+        det[swapped] = -det[swapped]
+        pivot_row = u[samples, p, k:]
+        u[samples, p, k:] = u[:, k, k:]
+        u[:, k, k:] = pivot_row
+        pivot = u[:, k, k]
+        factors = u[:, k + 1 :, k] / np.where(pivot == 0, 1.0, pivot)[:, None]
+        u[:, k + 1 :, k + 1 :] -= factors[:, :, None] * u[:, k, None, k + 1 :]
+    for k in range(n):
+        det *= u[:, k, k]
+    return det
+
+
+def n_particle_amplitudes(stack, exchange_class: ExchangeClass) -> np.ndarray:
+    """Joint amplitudes of a (S, N, N) stack of matrices, as a (S,) array.
+
+    The stacked form of n_particle_amplitude: the stack is validated once and
+    each step is one array operation over the stack axis. N <= 3 uses the
+    closed forms; larger N a Gray-code Ryser walk (bosons) or partially
+    pivoted elimination (fermions). A zero row or column, and for fermions a
+    bitwise-repeated row or column, gives an exact 0. S may be 0.
+    """
+    a = _as_square(stack, 3)
+    n = a.shape[-1]
+    if exchange_class is ExchangeClass.DISTINGUISHABLE:
+        raise ExchangeClassError(_NO_JOINT_AMPLITUDE)
+    if n == 1:
+        return a[:, 0, 0].copy()
+    if n <= 3:
+        closed_form = _pair_closed_form if n == 2 else _triple_closed_form
+        values = closed_form(a, exchange_class)
+    elif exchange_class is ExchangeClass.BOSON:
+        if n > RYSER_MAX_N:
+            raise MatrixSizeError(f"permanent supports n <= {RYSER_MAX_N}, got {n}")
+        values = _permanent_stack(a)
+    else:
+        values = _determinant_stack(a)
+    if n > 3:
+        # Each closed-form term holds one entry of every row and column, so
+        # for n <= 3 a zero line already makes every term exactly 0.
+        values[_zero_lines(a)] = 0
+    if exchange_class is ExchangeClass.FERMION:
+        values[_duplicate_lines(a)] = 0
+    return values
 
 
 def distinguishable_probability(matrix) -> float:

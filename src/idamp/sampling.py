@@ -7,20 +7,16 @@ import math
 import numpy as np
 
 
-def unit_disk_sample(rng: np.random.Generator) -> complex:
-    """One complex number uniform on the closed unit disk."""
-    radius = math.sqrt(rng.random())
-    theta = 2.0 * math.pi * rng.random()
-    return complex(radius * math.cos(theta), radius * math.sin(theta))
+def unit_disk(rng: np.random.Generator, shape) -> np.ndarray:
+    """Array of the given shape of independent uniform unit-disk entries."""
+    radius = np.sqrt(rng.random(shape))
+    theta = 2.0 * np.pi * rng.random(shape)
+    return radius * np.exp(1j * theta)
 
 
 def unit_disk_matrix(rng: np.random.Generator, n_rows: int, n_cols: int | None = None) -> np.ndarray:
     """Matrix of independent uniform unit-disk entries."""
-    if n_cols is None:
-        n_cols = n_rows
-    radius = np.sqrt(rng.random((n_rows, n_cols)))
-    theta = 2.0 * np.pi * rng.random((n_rows, n_cols))
-    return radius * np.exp(1j * theta)
+    return unit_disk(rng, (n_rows, n_rows if n_cols is None else n_cols))
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -89,6 +89,22 @@ def test_verify_zero_samples(capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_verify_one_and_two_samples(capsys):
+    for samples in ("1", "2"):
+        assert main(["verify", "--samples", samples]) == 0
+        assert "overall: PASS (15/15)" in capsys.readouterr().out
+
+
+def test_verify_bad_tolerance(capsys):
+    for tol in ("-1", "nan"):
+        code = main(["verify", "--tol", tol, "--samples", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_sample_csv(capsys):
     code = main(
         [
@@ -129,6 +145,15 @@ def test_bench_zero_reps(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == "n,median_ns,oracle_checked\n"
+
+
+def test_bench_negative_reps(capsys):
+    code = main(["bench", "--max-n", "6", "--reps", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_subprocess_run_byte_identical():

@@ -1,7 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from idamp import derivation
 from idamp.derivation import (
+    REJECTION_MARGIN,
+    SAMPLE_BLOCK,
     CandidateFunction,
     SignAssignment,
     VerificationReport,
@@ -23,36 +28,36 @@ from idamp.derivation import (
     verify_slide_identity,
     verify_two_step_factorization,
 )
-from idamp.errors import MatrixShapeError, MatrixSizeError
-from idamp.kernels import ExchangeClass, two_particle_amplitude
-from idamp.sampling import unit_disk_matrix, unit_disk_sample
+from idamp.errors import IdampError, MatrixShapeError, MatrixSizeError
+from idamp.kernels import ExchangeClass, n_particle_amplitudes, two_particle_amplitude
+from idamp.sampling import unit_disk_matrix
 
 BOSON = ExchangeClass.BOSON
 FERMION = ExchangeClass.FERMION
 
 
-def swapped_class_amplitude(matrix, exchange_class):
+def swapped_class_amplitude(stack, exchange_class):
     """Crossed-term sign flipped (boson and fermion formulas swapped)."""
-    a = np.asarray(matrix, dtype=np.complex128)
-    direct = a[0, 0] * a[1, 1]
-    crossed = a[0, 1] * a[1, 0]
+    a = np.asarray(stack, dtype=np.complex128)
+    direct = a[..., 0, 0] * a[..., 1, 1]
+    crossed = a[..., 0, 1] * a[..., 1, 0]
     if exchange_class is ExchangeClass.BOSON:
-        return complex(direct - crossed)
-    return complex(direct + crossed)
+        return direct - crossed
+    return direct + crossed
 
 
-def phase_dropped_amplitude(matrix, exchange_class):
+def phase_dropped_amplitude(stack, exchange_class):
     """Crossed term's phase discarded (a sign flip whenever it is negative).
 
     Unlike a plain sign swap this also destroys linearity in the matrix
     entries, so the additivity check can see it.
     """
-    a = np.asarray(matrix, dtype=np.complex128)
-    direct = a[0, 0] * a[1, 1]
-    crossed = complex(abs(a[0, 1] * a[1, 0]), 0.0)
+    a = np.asarray(stack, dtype=np.complex128)
+    direct = a[..., 0, 0] * a[..., 1, 1]
+    crossed = np.abs(a[..., 0, 1] * a[..., 1, 0]) + 0j
     if exchange_class is ExchangeClass.BOSON:
-        return complex(direct + crossed)
-    return complex(direct - crossed)
+        return direct + crossed
+    return direct - crossed
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +74,7 @@ def test_factorization_identity_matrices():
 def test_factorization_hand_case(rng):
     # diag(u, v) followed by a crossed transition: both sides equal -u*v for
     # fermions.
-    u, v = unit_disk_sample(rng), unit_disk_sample(rng)
+    u, v = unit_disk_matrix(rng, 1, 2)[0]
     a = np.array([[u, 0], [0, v]])
     b = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     lhs = two_particle_amplitude(a, FERMION) * two_particle_amplitude(b, FERMION)
@@ -171,7 +176,8 @@ def test_slide_sweep(rng):
     for cls in (BOSON, FERMION):
         worst = 0.0
         for _ in range(500):
-            report = verify_slide_identity(unit_disk_sample(rng), unit_disk_sample(rng), cls)
+            u, v = unit_disk_matrix(rng, 1, 2)[0]
+            report = verify_slide_identity(u, v, cls)
             worst = max(worst, report.max_deviation)
         assert worst <= 1e-12
 
@@ -191,6 +197,28 @@ def test_counterexamples_rejected():
     for candidate in counterexample_candidates():
         report = check_functional_equations(candidate, samples=2000, seed=5, tol=0.0)
         assert report.max_deviation > 0.1, candidate.name
+
+
+def test_counterexamples_rejected_at_one_sample():
+    # The fixed (1, i) probe rejects every counterexample even when the
+    # random draws alone would not.
+    for seed in range(50):
+        for candidate in counterexample_candidates():
+            report = check_functional_equations(candidate, samples=1, seed=seed, tol=0.0)
+            assert report.max_deviation > REJECTION_MARGIN, (seed, candidate.name)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_bad_tolerance_rejected(tol):
+    with pytest.raises(IdampError):
+        check_functional_equations(identity_candidate(), samples=10, tol=tol)
+    with pytest.raises(IdampError):
+        run_full_derivation_suite(samples=10, tol=tol)
+
+
+def test_zero_tolerance_accepted():
+    report = check_functional_equations(identity_candidate(), samples=10, tol=0.0)
+    assert report.passed
 
 
 def test_zero_map_satisfies_both_equations_but_fails_normalization():
@@ -312,6 +340,51 @@ def test_suite_fails_with_corrupted_amplitude():
     failed = {r.check_name for r in reports if not r.passed}
     assert any(name.startswith("two-step-factorization") for name in failed)
     assert any(name.startswith("column-additivity") for name in failed)
+
+
+def test_suite_passes_with_one_and_two_samples():
+    # The n = 3 and n = 4 conjugation sub-stacks are empty here.
+    for samples in (1, 2):
+        assert suite_passed(run_full_derivation_suite(seed=42, samples=samples))
+
+
+def test_additivity_column_follows_global_sample_index():
+    stacks = []
+
+    def recording_amplitude(stack, exchange_class):
+        stacks.append(stack)
+        return n_particle_amplitudes(stack, exchange_class)
+
+    samples = SAMPLE_BLOCK + 5
+    report = derivation._sweep_additivity(
+        FERMION, np.random.default_rng(1), samples, 1e-12, recording_amplitude
+    )
+    assert report.passed and report.samples == 2 * samples
+    # Per block and size: amplitude of merged, m, m2.
+    for n in (2, 3):
+        m = np.concatenate([s for s in stacks[1::3] if s.shape[1] == n])
+        m2 = np.concatenate([s for s in stacks[2::3] if s.shape[1] == n])
+        changed = (m != m2).any(axis=1)
+        assert changed.sum(axis=1).tolist() == [1] * samples
+        assert np.argmax(changed, axis=1).tolist() == [i % n for i in range(samples)]
+
+
+def test_conjugation_size_follows_global_sample_index(monkeypatch):
+    evaluated = Counter()
+
+    def recording_amplitudes(stack, exchange_class):
+        if exchange_class is BOSON:
+            evaluated[stack.shape[1]] += len(stack)
+        return n_particle_amplitudes(stack, exchange_class)
+
+    monkeypatch.setattr(derivation, "n_particle_amplitudes", recording_amplitudes)
+    samples = SAMPLE_BLOCK + 2
+    report = derivation._sweep_conjugation_equivariance(np.random.default_rng(1), samples)
+    assert report.passed
+    # Each matrix is evaluated twice per class: conjugated and as drawn.
+    assert {n: count // 2 for n, count in evaluated.items()} == Counter(
+        2 + i % 3 for i in range(samples)
+    )
 
 
 def test_report_invariant_and_serialization():

@@ -17,6 +17,7 @@ from idamp.kernels import (
     determinant_naive,
     distinguishable_probability,
     n_particle_amplitude,
+    n_particle_amplitudes,
     permanent_naive,
     permanent_ryser,
     two_particle_amplitude,
@@ -243,3 +244,79 @@ def test_weight_permanent_roundoff_policy(monkeypatch):
     monkeypatch.setattr("idamp.kernels.permanent_ryser", lambda a: complex(-2e-12))
     with pytest.raises(AmplitudeError, match="negative probability"):
         weight_permanent(weights)
+
+
+# ---------------------------------------------------------------------------
+# stacked kernel
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_amplitudes_match_scalar_and_oracles(n, rng):
+    stack = np.array([unit_disk_matrix(rng, n) for _ in range(12)])
+    for cls, oracle in ((BOSON, permanent_naive), (FERMION, determinant_naive)):
+        values = n_particle_amplitudes(stack, cls)
+        assert values.shape == (12,)
+        for m, value in zip(stack, values):
+            for reference in (n_particle_amplitude(m, cls), oracle(m)):
+                assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stacked_exact_zeros(n, rng):
+    zero_row = unit_disk_matrix(rng, n)
+    zero_row[n - 1, :] = 0
+    zero_col = unit_disk_matrix(rng, n)
+    zero_col[:, n - 1] = 0  # the Gray-code walk toggles the last column least
+    stack = np.array([zero_row, zero_col])
+    for cls in (BOSON, FERMION):
+        values = n_particle_amplitudes(stack, cls)
+        assert values[0] == 0j and values[1] == 0j
+    repeated_col = unit_disk_matrix(rng, n)
+    repeated_col[:, n - 1] = repeated_col[:, 0]
+    repeated_row = unit_disk_matrix(rng, n)
+    repeated_row[n - 1] = repeated_row[0]
+    values = n_particle_amplitudes(np.array([repeated_col, repeated_row]), FERMION)
+    assert values[0] == 0j and values[1] == 0j
+
+
+def test_stacked_determinant_zero_pivot():
+    # Proportional rows: elimination meets an all-zero pivot column without
+    # any zero or repeated line to mask.
+    m = np.eye(4, dtype=np.complex128)
+    m[:2, :2] = [[1, 2], [2, 4]]
+    assert determinant(m) == 0j
+    assert n_particle_amplitudes(np.array([m, np.eye(4)]), FERMION).tolist() == [0j, 1 + 0j]
+
+
+def test_stacked_conjugation_equivariance_bitwise(rng):
+    for n in range(1, 7):
+        stack = np.array([unit_disk_matrix(rng, n) for _ in range(50)])
+        for cls in (BOSON, FERMION):
+            assert np.array_equal(
+                n_particle_amplitudes(np.conj(stack), cls),
+                np.conj(n_particle_amplitudes(stack, cls)),
+            )
+
+
+def test_stacked_empty_stack():
+    for n in range(1, 6):
+        for cls in (BOSON, FERMION):
+            values = n_particle_amplitudes(np.zeros((0, n, n)), cls)
+            assert values.shape == (0,) and values.dtype == np.complex128
+
+
+def test_stacked_validation():
+    with pytest.raises(MatrixShapeError):
+        n_particle_amplitudes(np.eye(2), BOSON)  # a matrix, not a stack
+    with pytest.raises(MatrixShapeError):
+        n_particle_amplitudes(np.ones((3, 2, 3)), BOSON)
+    with pytest.raises(MatrixShapeError):
+        n_particle_amplitudes(np.ones((3, 0, 0)), BOSON)
+    bad = np.ones((2, 2, 2), dtype=np.complex128)
+    bad[1, 0, 0] = complex(0.0, np.inf)
+    with pytest.raises(MatrixShapeError):
+        n_particle_amplitudes(bad, FERMION)
+    with pytest.raises(ExchangeClassError):
+        n_particle_amplitudes(np.ones((1, 2, 2)), DIST)
+    with pytest.raises(MatrixSizeError):
+        n_particle_amplitudes(np.ones((1, 25, 25)), BOSON)
