@@ -8,9 +8,10 @@ no amplitude-level function, only a classical probability rule.
 Fast kernels (Ryser inclusion-exclusion for the permanent, partially pivoted
 elimination for the determinant) are paired with brute-force permutation
 expansions that act as independent test oracles. n_particle_amplitudes
-evaluates a whole (S, N, N) stack at once for the verifier sweeps; a single
-matrix, as the experiment runner passes, takes the scalar kernels, which cost
-less per call.
+evaluates a whole (S, N, N) stack at once for the verifier sweeps. A single
+matrix, as the experiment runner passes, takes the closed forms and the
+single-matrix Ryser walk, which cost less per call; its determinant for
+N >= 4 runs the stacked elimination on a stack of one.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ NAIVE_MAX_N = 10
 RYSER_MAX_N = 24
 
 _PERM_BATCH = 40320  # 8!; keeps the n=9,10 expansions within ~10 MB
+
+_COMPARE_BUDGET = 1 << 16  # entries per comparison array in _duplicate_lines
 
 
 class ExchangeClass(Enum):
@@ -78,12 +81,20 @@ def _duplicate_lines(a: np.ndarray):
 
     Duplicates must force an exact zero determinant; cancellation in floating
     point is only approximate, so elimination cannot be trusted to produce it.
+    Lines are compared a chunk at a time, so the comparison arrays stay within
+    max(_COMPARE_BUDGET, a.size) entries: O(n^2) for one large matrix.
     """
-    same_columns = (a[..., :, :, None] == a[..., :, None, :]).all(axis=-3)
-    same_rows = (a[..., :, None, :] == a[..., None, :, :]).all(axis=-1)
-    # Every line equals itself (entries are finite), so the n diagonal hits
-    # are always there; any further hit is a repeated line.
-    return (same_columns | same_rows).sum(axis=(-2, -1)) > a.shape[-1]
+    n = a.shape[-1]
+    step = max(1, _COMPARE_BUDGET // max(a.size, 1))
+    found = np.zeros(a.shape[:-2], dtype=bool)
+    for start in range(0, n, step):
+        lines = slice(start, start + step)
+        same_rows = (a[..., lines, None, :] == a[..., None, :, :]).all(axis=-1)
+        same_columns = (a[..., :, lines, None] == a[..., :, None, :]).all(axis=-3)
+        # Every line equals itself (entries are finite), so each chunk line
+        # has one self hit; any further hit is a repeated line.
+        found |= (same_rows | same_columns).sum(axis=(-2, -1)) > same_rows.shape[-2]
+    return found
 
 
 def _batch_parities(batch: np.ndarray) -> np.ndarray:
@@ -280,21 +291,7 @@ def determinant(matrix) -> complex:
         return complex(_pair_closed_form(a, ExchangeClass.FERMION))
     if n == 3:
         return complex(_triple_closed_form(a, ExchangeClass.FERMION))
-    u = a.copy()
-    sign = 1.0 + 0.0j
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(u[k:, k])))
-        if u[p, k] == 0:
-            return 0j
-        if p != k:
-            u[[k, p], k:] = u[[p, k], k:]
-            sign = -sign
-        factors = u[k + 1 :, k] / u[k, k]
-        u[k + 1 :, k + 1 :] -= np.outer(factors, u[k, k + 1 :])
-    det = sign
-    for k in range(n):
-        det *= u[k, k]
-    return complex(det)
+    return complex(_determinant_stack(a[None])[0])
 
 
 def two_particle_amplitude(matrix, exchange_class: ExchangeClass) -> complex:
@@ -355,8 +352,8 @@ def _permanent_stack(a: np.ndarray) -> np.ndarray:
 
 def _determinant_stack(a: np.ndarray) -> np.ndarray:
     """Partially pivoted elimination over a (S, n, n) stack. A zero pivot
-    leaves its column untouched (it is divided by 1 instead) and makes the
-    diagonal product exactly 0."""
+    (an all-zero pivot column) leaves its column untouched (it is divided by
+    1 instead) and gives an exact 0."""
     n = a.shape[-1]
     u = a.copy()
     samples = np.arange(a.shape[0])
@@ -371,8 +368,11 @@ def _determinant_stack(a: np.ndarray) -> np.ndarray:
         pivot = u[:, k, k]
         factors = u[:, k + 1 :, k] / np.where(pivot == 0, 1.0, pivot)[:, None]
         u[:, k + 1 :, k + 1 :] -= factors[:, :, None] * u[:, k, None, k + 1 :]
+    diagonal = np.diagonal(u, axis1=1, axis2=2)
     for k in range(n):
-        det *= u[:, k, k]
+        det *= diagonal[:, k]
+    # Exact 0 even where the other diagonal factors overflow (inf * 0).
+    det[(diagonal == 0).any(axis=1)] = 0
     return det
 
 
@@ -394,15 +394,18 @@ def n_particle_amplitudes(stack, exchange_class: ExchangeClass) -> np.ndarray:
     if n <= 3:
         closed_form = _pair_closed_form if n == 2 else _triple_closed_form
         values = closed_form(a, exchange_class)
-    elif exchange_class is ExchangeClass.BOSON:
-        if n > RYSER_MAX_N:
-            raise MatrixSizeError(f"permanent supports n <= {RYSER_MAX_N}, got {n}")
-        values = _permanent_stack(a)
+        # A zero line puts a 0 factor in every closed-form term, so the value
+        # is already exactly 0 unless another factor overflowed (inf * 0 is
+        # NaN): only non-finite values need the (costly) line test.
+        suspect = np.flatnonzero(~np.isfinite(values))
+        values[suspect[_zero_lines(a[suspect])]] = 0
     else:
-        values = _determinant_stack(a)
-    if n > 3:
-        # Each closed-form term holds one entry of every row and column, so
-        # for n <= 3 a zero line already makes every term exactly 0.
+        if exchange_class is ExchangeClass.BOSON:
+            if n > RYSER_MAX_N:
+                raise MatrixSizeError(f"permanent supports n <= {RYSER_MAX_N}, got {n}")
+            values = _permanent_stack(a)
+        else:
+            values = _determinant_stack(a)
         values[_zero_lines(a)] = 0
     if exchange_class is ExchangeClass.FERMION:
         values[_duplicate_lines(a)] = 0

@@ -14,9 +14,9 @@ def unit_disk(rng: np.random.Generator, shape) -> np.ndarray:
     return radius * np.exp(1j * theta)
 
 
-def unit_disk_matrix(rng: np.random.Generator, n_rows: int, n_cols: int | None = None) -> np.ndarray:
-    """Matrix of independent uniform unit-disk entries."""
-    return unit_disk(rng, (n_rows, n_rows if n_cols is None else n_cols))
+def unit_disk_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n x n matrix of independent uniform unit-disk entries."""
+    return unit_disk(rng, (n, n))
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

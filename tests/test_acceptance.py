@@ -35,7 +35,7 @@ from idamp.kernels import (
     permanent_ryser,
     two_particle_amplitude,
 )
-from idamp.sampling import haar_unitary, unit_disk_matrix
+from idamp.sampling import haar_unitary, unit_disk, unit_disk_matrix
 from idamp.sequences import (
     Configuration,
     MeasurementStep,
@@ -105,7 +105,7 @@ def test_criterion_3_column_additivity_and_vanishing():
             m = unit_disk_matrix(rng, n)
             m2 = m.copy()
             column = i % n
-            m2[:, column] = unit_disk_matrix(rng, n, 1)[:, 0]
+            m2[:, column] = unit_disk(rng, n)
             result = verify_column_additivity(m, m2, column, exchange_class)
             worst = max(worst, result.max_deviation)
     mixed_ok = True
@@ -197,8 +197,8 @@ def test_criterion_7_cauchy_binet_coarse_graining():
         src = tuple(f"s{j}" for j in range(n))
         mid = tuple(f"i{j}" for j in range(m))
         tgt = tuple(f"t{j}" for j in range(n))
-        step_a = MeasurementStep("a", src, mid, unit_disk_matrix(rng, n, m))
-        step_b = MeasurementStep("b", mid, tgt, unit_disk_matrix(rng, m, n))
+        step_a = MeasurementStep("a", src, mid, unit_disk(rng, (n, m)))
+        step_b = MeasurementStep("b", mid, tgt, unit_disk(rng, (m, n)))
         source, target = Configuration.of(*src), Configuration.of(*tgt)
         product = step_a.matrix @ step_b.matrix
         fermion = compose_coarse(step_a, step_b, source, target, FERMION)

@@ -30,7 +30,7 @@ from idamp.derivation import (
 )
 from idamp.errors import IdampError, MatrixShapeError, MatrixSizeError
 from idamp.kernels import ExchangeClass, n_particle_amplitudes, two_particle_amplitude
-from idamp.sampling import unit_disk_matrix
+from idamp.sampling import unit_disk, unit_disk_matrix
 
 BOSON = ExchangeClass.BOSON
 FERMION = ExchangeClass.FERMION
@@ -74,7 +74,7 @@ def test_factorization_identity_matrices():
 def test_factorization_hand_case(rng):
     # diag(u, v) followed by a crossed transition: both sides equal -u*v for
     # fermions.
-    u, v = unit_disk_matrix(rng, 1, 2)[0]
+    u, v = unit_disk(rng, 2)
     a = np.array([[u, 0], [0, v]])
     b = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     lhs = two_particle_amplitude(a, FERMION) * two_particle_amplitude(b, FERMION)
@@ -127,7 +127,7 @@ def test_additivity_sweep(rng):
             m = unit_disk_matrix(rng, n)
             m2 = m.copy()
             col = i % n
-            m2[:, col] = unit_disk_matrix(rng, n, 1)[:, 0]
+            m2[:, col] = unit_disk(rng, n)
             report = verify_column_additivity(m, m2, col, cls)
             worst = max(worst, report.max_deviation)
         assert worst <= 1e-12
@@ -143,7 +143,7 @@ def test_additivity_rejects_multi_column_difference(rng):
 def test_additivity_detects_nonlinear_corruption(rng):
     m = unit_disk_matrix(rng, 2)
     m2 = m.copy()
-    m2[:, 0] = unit_disk_matrix(rng, 2, 1)[:, 0]
+    m2[:, 0] = unit_disk(rng, 2)
     report = verify_column_additivity(
         m, m2, 0, FERMION, amplitude_fn=phase_dropped_amplitude
     )
@@ -155,7 +155,7 @@ def test_additivity_blind_to_multilinear_corruption(rng):
     # column additivity alone cannot distinguish the two exchange classes.
     m = unit_disk_matrix(rng, 2)
     m2 = m.copy()
-    m2[:, 1] = unit_disk_matrix(rng, 2, 1)[:, 0]
+    m2[:, 1] = unit_disk(rng, 2)
     report = verify_column_additivity(
         m, m2, 1, FERMION, amplitude_fn=swapped_class_amplitude
     )
@@ -176,7 +176,7 @@ def test_slide_sweep(rng):
     for cls in (BOSON, FERMION):
         worst = 0.0
         for _ in range(500):
-            u, v = unit_disk_matrix(rng, 1, 2)[0]
+            u, v = unit_disk(rng, 2)
             report = verify_slide_identity(u, v, cls)
             worst = max(worst, report.max_deviation)
         assert worst <= 1e-12

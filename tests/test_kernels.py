@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from idamp.kernels import (
     two_particle_amplitude,
     weight_permanent,
 )
-from idamp.sampling import unit_disk_matrix
+from idamp.sampling import unit_disk, unit_disk_matrix
 
 BOSON = ExchangeClass.BOSON
 FERMION = ExchangeClass.FERMION
@@ -184,7 +185,7 @@ def test_multilinearity_in_columns(rng):
             m = unit_disk_matrix(rng, n)
             m2 = m.copy()
             col = int(rng.integers(n))
-            m2[:, col] = unit_disk_matrix(rng, n, 1)[:, 0]
+            m2[:, col] = unit_disk(rng, n)
             merged = m.copy()
             merged[:, col] = m[:, col] + m2[:, col]
             for cls in (BOSON, FERMION):
@@ -286,6 +287,60 @@ def test_stacked_determinant_zero_pivot():
     m[:2, :2] = [[1, 2], [2, 4]]
     assert determinant(m) == 0j
     assert n_particle_amplitudes(np.array([m, np.eye(4)]), FERMION).tolist() == [0j, 1 + 0j]
+    # The zero lands last on the diagonal, after two factors whose product
+    # overflows to inf.
+    m = np.diag([1e200, 1e200, 1, 1]).astype(np.complex128)
+    m[2:, 2:] = [[1, 2], [2, 4]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert determinant(m) == 0j
+        assert n_particle_amplitudes(m[None], FERMION).tolist() == [0j]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_zero_line_with_overflowing_products(n, rng):
+    # Partial products of the other entries overflow; inf * 0 must not leak
+    # through as NaN.
+    big = 1e200 * (1 + 1j) * (1 + rng.random((n, n)))
+    zero_row, zero_col = big.copy(), big.copy()
+    zero_row[n - 1] = 0
+    zero_col[:, n - 1] = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cls in (BOSON, FERMION):
+            stack = np.array([zero_row, zero_col])
+            assert n_particle_amplitudes(stack, cls).tolist() == [0j, 0j]
+            assert n_particle_amplitude(zero_row, cls) == 0j
+            assert n_particle_amplitude(zero_col, cls) == 0j
+
+
+def test_determinant_repeated_lines_across_chunks(rng):
+    # n = 50 compares its lines in two chunks; each pair straddles them.
+    m = np.eye(50) + 0.1 * unit_disk_matrix(rng, 50)
+    assert determinant(m) != 0j
+    repeated_row, repeated_col = m.copy(), m.copy()
+    repeated_row[45] = repeated_row[3]
+    repeated_col[:, 49] = repeated_col[:, 0]
+    assert determinant(repeated_row) == 0j
+    assert determinant(repeated_col) == 0j
+    stack = np.array([m, repeated_row, repeated_col])
+    assert n_particle_amplitudes(stack, FERMION)[1:].tolist() == [0j, 0j]
+
+
+def test_large_fermion_determinant_memory(rng):
+    n = 300
+    m = np.eye(n) + 0.01 * unit_disk_matrix(rng, n)
+    tracemalloc.start()
+    try:
+        value = determinant(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    reference = np.linalg.det(m)
+    assert abs(value - reference) <= 1e-10 * abs(reference)
+    # One (n, n, n) comparison array alone would take n / 16 = 18.75 times
+    # the matrix's bytes.
+    assert peak < 8 * m.nbytes
+    m[:, n - 1] = m[:, 0]
+    assert determinant(m) == 0j
 
 
 def test_stacked_conjugation_equivariance_bitwise(rng):

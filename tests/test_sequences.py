@@ -5,7 +5,7 @@ import pytest
 
 from idamp.errors import ExchangeClassError, SequenceError
 from idamp.kernels import ExchangeClass, determinant, n_particle_amplitude, permanent_ryser
-from idamp.sampling import haar_unitary, unit_disk_matrix
+from idamp.sampling import haar_unitary, unit_disk
 from idamp.sequences import (
     Configuration,
     MeasurementSequence,
@@ -31,7 +31,7 @@ def labels(prefix, count):
 
 def step_between(rng, label, rows, cols, matrix=None):
     if matrix is None:
-        matrix = unit_disk_matrix(rng, len(rows), len(cols))
+        matrix = unit_disk(rng, (len(rows), len(cols)))
     return MeasurementStep(label=label, row_labels=rows, col_labels=cols, matrix=matrix)
 
 
