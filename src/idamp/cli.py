@@ -66,6 +66,16 @@ def _parse_class_list(text: str) -> tuple[ExchangeClass, ...]:
     return tuple(classes)
 
 
+def _parse_seed(value) -> int:
+    """A seed from a flag or the environment: an integer >= 0."""
+    try:
+        if int(value) >= 0:
+            return int(value)
+    except ValueError:
+        pass
+    raise IdampError(f"seed must be an integer >= 0, got {value!r}")
+
+
 def _cmd_run(args) -> int:
     spec = parse_experiment(Path(args.file).read_bytes())
     if args.classes:
@@ -78,7 +88,8 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("IDAMP_SEED", DEFAULT_VERIFY_SEED))
+        seed = os.environ.get("IDAMP_SEED", DEFAULT_VERIFY_SEED)
+    seed = _parse_seed(seed)
     reports = run_full_derivation_suite(seed=seed, tol=args.tol, samples=args.samples)
     print(format_report_table(reports))
     survivors = three_particle_sign_survivors()
@@ -96,7 +107,8 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     spec = parse_experiment(Path(args.file).read_bytes())
     exchange_class = _parse_class(args.exchange_class) if args.exchange_class else None
-    pairs = sample_outcomes(spec, args.draws, args.seed, exchange_class=exchange_class)
+    seed = _parse_seed(args.seed)
+    pairs = sample_outcomes(spec, args.draws, seed, exchange_class=exchange_class)
     print("final,count")
     for config, count in pairs:
         print(f"{config.text},{count}")

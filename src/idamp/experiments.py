@@ -50,7 +50,7 @@ from .kernels import (
     ExchangeClass,
     NAIVE_MAX_N,
     RYSER_MAX_N,
-    n_particle_amplitude,
+    n_particle_amplitudes,
     permanent_naive,
     permanent_ryser,
     weight_permanent,
@@ -347,14 +347,17 @@ def _class_results(
     spec: ExperimentSpec,
     finals: tuple[Configuration, ...],
     exchange_class: ExchangeClass,
-) -> dict[Configuration, tuple[complex | None, float]]:
-    """Amplitude (None for distinguishable rows) and probability per final.
+) -> tuple[list[complex] | None, list[float]]:
+    """Amplitudes (None for distinguishable particles) and probabilities of
+    the finals, in their order.
 
     Bosons and fermions chain the step matrices, distinguishable particles
     their entrywise squared moduli. Under the "coarse" policy the unobserved
     measurements are summed out by multiplying the chained matrices
     (Cauchy-Binet), which leaves one link from the initial to the final
-    measurement; both policies then share the per-final code below.
+    measurement. Each link then gathers its restrictions to every final as
+    one (F, N, N) stack (a stack of one between two fixed configurations) and
+    makes one kernel call for it.
     """
     distinguishable = exchange_class is ExchangeClass.DISTINGUISHABLE
     matrices = [step.matrix for step in spec.steps]
@@ -367,39 +370,41 @@ def _class_results(
         observed = (0, len(spec.measurements) - 1)
         interior = ()
     index = [{label: i for i, label in enumerate(spec.measurements[m])} for m in observed]
+    # Per measurement: the configurations (one fixed, or every final), their
+    # (count, N) label indices and their occupancy weights.
+    configs = [(c,) for c in (spec.initial, *interior)] + [finals]
+    lines = [
+        np.array([[index[k][label] for label in c.expanded] for c in group])
+        for k, group in enumerate(configs)
+    ]
+    weights = [np.array([float(occupancy_weight(c)) for c in group]) for group in configs]
 
-    results: dict[Configuration, tuple[complex | None, float]] = {}
-    for final in finals:
-        configs = (spec.initial, *interior, final)
-        amplitude = 1 + 0j
-        probability = 1.0
-        norm = 1
-        for k, matrix in enumerate(matrices):
-            rows = [index[k][label] for label in configs[k].expanded]
-            cols = [index[k + 1][label] for label in configs[k + 1].expanded]
-            restricted = matrix[np.ix_(rows, cols)]
-            if distinguishable:
-                probability *= weight_permanent(restricted) / occupancy_weight(configs[k + 1])
-            else:
-                amplitude *= n_particle_amplitude(restricted, exchange_class)
-                norm *= occupancy_weight(configs[k]) * occupancy_weight(configs[k + 1])
+    amplitudes = np.ones(len(finals), dtype=np.complex128)
+    probabilities = np.ones(len(finals))
+    norms = np.ones(len(finals))
+    for k, matrix in enumerate(matrices):
+        rows, cols = lines[k], lines[k + 1]
+        restricted = matrix[rows[:, :, None], cols[:, None, :]]
         if distinguishable:
-            amplitude = None
+            probabilities = probabilities * (weight_permanent(restricted) / weights[k + 1])
         else:
-            probability = abs(amplitude) ** 2 / norm
-        results[final] = (amplitude, clamp_probability(probability, window=_TABLE_PROB_WINDOW))
-    return results
+            amplitudes = amplitudes * n_particle_amplitudes(restricted, exchange_class)
+            norms = norms * (weights[k] * weights[k + 1])
+    if not distinguishable:
+        probabilities = np.abs(amplitudes) ** 2 / norms
+    clamped = [clamp_probability(p, window=_TABLE_PROB_WINDOW) for p in probabilities.tolist()]
+    return (None if distinguishable else amplitudes.tolist()), clamped
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """One row per (final configuration, exchange class), in canonical order."""
     finals = _final_configurations(spec)
-    per_class = {cls: _class_results(spec, finals, cls) for cls in spec.exchange_classes}
+    per_class = [_class_results(spec, finals, cls) for cls in spec.exchange_classes]
     rows = []
-    for final in finals:
-        for exchange_class in spec.exchange_classes:
-            amplitude, prob = per_class[exchange_class][final]
-            rows.append(ResultRow(final, exchange_class, amplitude, prob))
+    for i, final in enumerate(finals):
+        for exchange_class, (amplitudes, probabilities) in zip(spec.exchange_classes, per_class):
+            amplitude = None if amplitudes is None else amplitudes[i]
+            rows.append(ResultRow(final, exchange_class, amplitude, probabilities[i]))
     return ResultTable(rows=tuple(rows), spec_name=spec.name)
 
 
@@ -449,11 +454,13 @@ class BenchRow:
 
 
 def bench_permanent(max_n: int = 12, repetitions: int = 3, seed: int = 2024) -> list[BenchRow]:
-    """Median wall time of the Ryser kernel per matrix size.
+    """Median wall time of the Ryser kernel per matrix size, n = 2..max_n.
 
     For n <= NAIVE_MAX_N each timed value is also checked against the
     brute-force oracle. repetitions=0 yields an empty table.
     """
+    if max_n < 2:
+        raise IdampError(f"max_n must be >= 2, got {max_n}")
     if max_n > RYSER_MAX_N:
         raise MatrixSizeError(f"max_n must be <= {RYSER_MAX_N}, got {max_n}")
     if repetitions < 0:

@@ -7,11 +7,12 @@ no amplitude-level function, only a classical probability rule.
 
 Fast kernels (Ryser inclusion-exclusion for the permanent, partially pivoted
 elimination for the determinant) are paired with brute-force permutation
-expansions that act as independent test oracles. n_particle_amplitudes
-evaluates a whole (S, N, N) stack at once for the verifier sweeps. A single
-matrix, as the experiment runner passes, takes the closed forms and the
-single-matrix Ryser walk, which cost less per call; its determinant for
-N >= 4 runs the stacked elimination on a stack of one.
+expansions that act as independent test oracles. n_particle_amplitudes is the
+one amplitude path: it evaluates a whole (S, N, N) stack at once, for the
+verifier sweeps and for the experiment runner, which restricts its matrix to
+every final configuration in one gather. The single-matrix entry points
+(n_particle_amplitude, determinant, two_particle_amplitude) pass it a stack
+of one.
 """
 
 from __future__ import annotations
@@ -239,20 +240,13 @@ def permanent_ryser(matrix) -> complex:
     return _ryser_gray_reference(a)  # pragma: no cover
 
 
-_NO_JOINT_AMPLITUDE = (
-    "distinguishable particles have no joint amplitude; use distinguishable_probability"
-)
-
-
 def _pair_closed_form(a: np.ndarray, exchange_class: ExchangeClass):
     """a00*a11 +- a01*a10 over the trailing 2x2 axes."""
     direct = a[..., 0, 0] * a[..., 1, 1]
     crossed = a[..., 0, 1] * a[..., 1, 0]
     if exchange_class is ExchangeClass.BOSON:
         return direct + crossed
-    if exchange_class is ExchangeClass.FERMION:
-        return direct - crossed
-    raise ExchangeClassError(_NO_JOINT_AMPLITUDE)
+    return direct - crossed
 
 
 def _triple_closed_form(a: np.ndarray, exchange_class: ExchangeClass):
@@ -272,26 +266,18 @@ def _triple_closed_form(a: np.ndarray, exchange_class: ExchangeClass):
     return even - odd[0] - odd[1] - odd[2]
 
 
-def determinant(matrix) -> complex:
-    """Determinant via closed forms (n <= 3) or partially pivoted elimination.
+def n_particle_amplitude(matrix, exchange_class: ExchangeClass) -> complex:
+    """Joint amplitude for N identical particles from an N x N matrix.
 
-    Exact zeros are returned for any zero row/column and for bitwise-repeated
-    rows or columns, so that exclusion results come out as true zeros rather
-    than elimination round-off.
+    Permanent for bosons, determinant for fermions: n_particle_amplitudes on
+    a stack of one.
     """
-    a = as_square_matrix(matrix)
-    n = a.shape[0]
-    if _zero_lines(a):
-        return 0j
-    if n == 1:
-        return complex(a[0, 0])
-    if _duplicate_lines(a):
-        return 0j
-    if n == 2:
-        return complex(_pair_closed_form(a, ExchangeClass.FERMION))
-    if n == 3:
-        return complex(_triple_closed_form(a, ExchangeClass.FERMION))
-    return complex(_determinant_stack(a[None])[0])
+    return complex(n_particle_amplitudes(as_square_matrix(matrix)[None], exchange_class)[0])
+
+
+def determinant(matrix) -> complex:
+    """Determinant, with exact zeros for a zero or bitwise-repeated line."""
+    return n_particle_amplitude(matrix, ExchangeClass.FERMION)
 
 
 def two_particle_amplitude(matrix, exchange_class: ExchangeClass) -> complex:
@@ -302,26 +288,7 @@ def two_particle_amplitude(matrix, exchange_class: ExchangeClass) -> complex:
     a = as_square_matrix(matrix)
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got shape {a.shape}")
-    return complex(_pair_closed_form(a, exchange_class))
-
-
-def n_particle_amplitude(matrix, exchange_class: ExchangeClass) -> complex:
-    """Joint amplitude for N identical particles from an N x N matrix.
-
-    Permanent for bosons, determinant for fermions. The 2x2 case delegates to
-    two_particle_amplitude so both entry points agree bit for bit.
-    """
-    a = as_square_matrix(matrix)
-    n = a.shape[0]
-    if exchange_class is ExchangeClass.DISTINGUISHABLE:
-        raise ExchangeClassError(_NO_JOINT_AMPLITUDE)
-    if n == 1:
-        return complex(a[0, 0])
-    if n == 2:
-        return two_particle_amplitude(a, exchange_class)
-    if exchange_class is ExchangeClass.BOSON:
-        return permanent_ryser(a)
-    return determinant(a)
+    return complex(n_particle_amplitudes(a[None], exchange_class)[0])
 
 
 def _permanent_stack(a: np.ndarray) -> np.ndarray:
@@ -379,16 +346,19 @@ def _determinant_stack(a: np.ndarray) -> np.ndarray:
 def n_particle_amplitudes(stack, exchange_class: ExchangeClass) -> np.ndarray:
     """Joint amplitudes of a (S, N, N) stack of matrices, as a (S,) array.
 
-    The stacked form of n_particle_amplitude: the stack is validated once and
-    each step is one array operation over the stack axis. N <= 3 uses the
-    closed forms; larger N a Gray-code Ryser walk (bosons) or partially
-    pivoted elimination (fermions). A zero row or column, and for fermions a
-    bitwise-repeated row or column, gives an exact 0. S may be 0.
+    The stack is validated once and each step is one array operation over
+    the stack axis. N <= 3 uses the closed forms; larger N a Gray-code Ryser
+    walk (bosons) or partially pivoted elimination (fermions). A single boson
+    matrix takes the single-matrix Ryser walk instead, which costs about a
+    third of the stacked walk for one matrix. A zero row or column, and for
+    fermions a bitwise-repeated row or column, gives an exact 0. S may be 0.
     """
     a = _as_square(stack, 3)
     n = a.shape[-1]
     if exchange_class is ExchangeClass.DISTINGUISHABLE:
-        raise ExchangeClassError(_NO_JOINT_AMPLITUDE)
+        raise ExchangeClassError(
+            "distinguishable particles have no joint amplitude; use distinguishable_probability"
+        )
     if n == 1:
         return a[:, 0, 0].copy()
     if n <= 3:
@@ -403,7 +373,7 @@ def n_particle_amplitudes(stack, exchange_class: ExchangeClass) -> np.ndarray:
         if exchange_class is ExchangeClass.BOSON:
             if n > RYSER_MAX_N:
                 raise MatrixSizeError(f"permanent supports n <= {RYSER_MAX_N}, got {n}")
-            values = _permanent_stack(a)
+            values = np.array([permanent_ryser(a[0])]) if len(a) == 1 else _permanent_stack(a)
         else:
             values = _determinant_stack(a)
         values[_zero_lines(a)] = 0
@@ -425,18 +395,17 @@ def distinguishable_probability(matrix) -> float:
         raise AmplitudeError(
             f"row squared moduli must sum to <= 1, max {row_sums.max()!r}"
         )
-    return weight_permanent(weights)
+    return float(weight_permanent(weights[None])[0])
 
 
-def weight_permanent(weights) -> float:
-    """Permanent of an entrywise nonnegative matrix of squared moduli.
+def weight_permanent(weights) -> np.ndarray:
+    """Permanents of a (S, N, N) stack of entrywise nonnegative matrices of
+    squared moduli, as a (S,) float array.
 
-    The value is mathematically nonnegative; inclusion-exclusion round-off
+    Each value is mathematically nonnegative; inclusion-exclusion round-off
     down to -1e-12 is reported as 0, anything lower raises.
     """
-    value = permanent_ryser(weights).real
-    if value < 0.0:
-        if value < -1e-12:
-            raise AmplitudeError(f"negative probability {value!r}")
-        value = 0.0
-    return value
+    values = n_particle_amplitudes(weights, ExchangeClass.BOSON).real
+    if (values < -1e-12).any():
+        raise AmplitudeError(f"negative probability {float(values.min())!r}")
+    return np.where(values < 0.0, 0.0, values)

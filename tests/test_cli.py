@@ -4,6 +4,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from idamp.cli import main
 
 
@@ -105,6 +107,36 @@ def test_verify_bad_tolerance(capsys):
         assert len(captured.err.splitlines()) == 1
 
 
+def _assert_one_line_error(code, captured):
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_verify_negative_seed(capsys):
+    code = main(["verify", "--seed", "-1", "--samples", "10"])
+    _assert_one_line_error(code, capsys.readouterr())
+
+
+@pytest.mark.parametrize("value", ["-4", "abc"])
+def test_verify_bad_env_seed(monkeypatch, capsys, value):
+    monkeypatch.setenv("IDAMP_SEED", value)
+    code = main(["verify", "--samples", "10"])
+    _assert_one_line_error(code, capsys.readouterr())
+
+
+def test_verify_seed_zero(capsys):
+    assert main(["verify", "--seed", "0", "--samples", "10"]) == 0
+    assert "overall: PASS (15/15)" in capsys.readouterr().out
+
+
+def test_sample_negative_seed(capsys):
+    path = str(scenario_path("hom-beamsplitter"))
+    code = main(["sample", path, "--draws", "10", "--seed", "-1", "--class", "boson"])
+    _assert_one_line_error(code, capsys.readouterr())
+
+
 def test_sample_csv(capsys):
     code = main(
         [
@@ -154,6 +186,12 @@ def test_bench_negative_reps(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("max_n", ["1", "-3"])
+def test_bench_max_n_below_two(capsys, max_n):
+    code = main(["bench", "--max-n", max_n, "--reps", "1"])
+    _assert_one_line_error(code, capsys.readouterr())
 
 
 def test_subprocess_run_byte_identical():

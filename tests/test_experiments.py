@@ -16,14 +16,21 @@ from idamp.experiments import (
     scenario_names,
     serialize_experiment,
 )
-from idamp.kernels import ExchangeClass, n_particle_amplitude, weight_permanent
-from idamp.sampling import haar_unitary
+from idamp.kernels import (
+    ExchangeClass,
+    n_particle_amplitude,
+    permanent_naive,
+    weight_permanent,
+)
+from idamp.sampling import haar_unitary, unit_disk
 from idamp.sequences import (
     Configuration,
+    MeasurementSequence,
     all_configurations,
     distinct_configurations,
     occupancy_weight,
     restrict_matrix,
+    sequence_amplitude,
 )
 
 BOSON = ExchangeClass.BOSON
@@ -233,7 +240,8 @@ def test_coarse_amplitude_matches_matrix_product(rng):
 
 
 def _weight_permanent(matrix):
-    return weight_permanent(matrix.real * matrix.real + matrix.imag * matrix.imag)
+    weights = matrix.real * matrix.real + matrix.imag * matrix.imag
+    return weight_permanent(weights[None])[0]
 
 
 def dp_coarse_amplitudes(spec, finals, exchange_class):
@@ -393,6 +401,44 @@ def test_resolved_chain_is_product_of_steps(rng):
             assert chained == pytest.approx(expected, abs=1e-12)
 
 
+def test_resolved_rows_match_per_final_reference(rng):
+    # Four particles through a fixed, doubly occupied intermediate: the first
+    # step is a stack of one, the second a stack of every final (N = 4 takes
+    # the Ryser walk and the elimination, not the closed forms).
+    labels = [[f"{m}{i}" for i in range(4)] for m in "abc"]
+    steps = [unit_disk(rng, (4, 4)) / 2 for _ in range(2)]
+    doc = {
+        "name": "resolved-reference",
+        "particle_count": 4,
+        "exchange_classes": ["boson", "fermion", "distinguishable"],
+        "measurements": labels,
+        "steps": [[[[z.real, z.imag] for z in row] for row in step] for step in steps],
+        "initial": {"a0": 1, "a1": 1, "a2": 1, "a3": 1},
+        "finals": "all",
+        "intermediate_policy": "resolved",
+        "intermediates": [{"b0": 2, "b2": 1, "b3": 1}],
+    }
+    spec = parse_experiment(json.dumps(doc))
+    table = run_experiment(spec)
+    assert len(table.rows) == 3 * 35
+    for row in table.rows:
+        configs = (spec.initial, spec.intermediates[0], row.final)
+        if row.exchange_class is DIST:
+            expected = 1.0
+            for k, step in enumerate(spec.steps):
+                r = restrict_matrix(step, configs[k], configs[k + 1])
+                weight = permanent_naive(r.real * r.real + r.imag * r.imag).real
+                expected *= weight / occupancy_weight(configs[k + 1])
+            assert row.probability == pytest.approx(expected, abs=1e-12)
+            continue
+        sequence = MeasurementSequence(configs, spec.steps)
+        amplitude = sequence_amplitude(sequence, row.exchange_class)
+        norm = occupancy_weight(configs[0]) * occupancy_weight(configs[1]) ** 2
+        norm *= occupancy_weight(configs[2])
+        assert abs(row.amplitude - amplitude) <= 1e-12
+        assert row.probability == pytest.approx(abs(amplitude) ** 2 / norm, abs=1e-12)
+
+
 def test_repeated_initial_normalizes(rng):
     u = haar_unitary(rng, 3)
     doc = {
@@ -409,6 +455,27 @@ def test_repeated_initial_normalizes(rng):
     for cls in (BOSON, DIST):
         total = sum(r.probability for r in table.rows if r.exchange_class is cls)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_doubly_occupied_fermions_vanish_exactly(rng):
+    for _ in range(20):
+        step = haar_unitary(rng, 3)[:2] * rng.uniform(0.5, 1.0)
+        doc = {
+            "name": "pauli",
+            "particle_count": 2,
+            "exchange_classes": ["boson", "fermion"],
+            "measurements": [["a0", "a1"], ["b0", "b1", "b2"]],
+            "steps": [[[[z.real, z.imag] for z in row] for row in step]],
+            "initial": {"a0": 2},
+            "finals": "all",
+            "intermediate_policy": "resolved",
+        }
+        table = run_experiment(parse_experiment(json.dumps(doc)))
+        fermion_rows = [r for r in table.rows if r.exchange_class is FERMION]
+        assert len(fermion_rows) == 6
+        for row in fermion_rows:
+            assert repr(row.amplitude) == "0j"
+            assert repr(row.probability) == "0.0"
 
 
 def test_csv_format():

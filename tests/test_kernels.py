@@ -223,6 +223,14 @@ def test_pauli_exclusion_repeated_columns(rng):
         assert n_particle_amplitude(m, FERMION) == 0j
 
 
+def test_pair_fermion_repeated_rows_exact_zero():
+    row = [-0.3763370959790291 + 0.6554051876408835j, -0.1533471020548487 - 0.18160172726167745j]
+    m = np.array([row, row])
+    assert repr(n_particle_amplitude(m, FERMION)) == "0j"
+    assert repr(two_particle_amplitude(m, FERMION)) == "0j"
+    assert repr(determinant(m)) == "0j"
+
+
 def test_distinguishable_probability_values():
     assert distinguishable_probability(np.eye(3)) == 1.0
     assert distinguishable_probability(BEAM_SPLITTER) == pytest.approx(0.5, abs=1e-12)
@@ -238,11 +246,15 @@ def test_distinguishable_probability_row_check():
 def test_weight_permanent_roundoff_policy(monkeypatch):
     # a repeated column breaks distinguishable_probability's row check, but
     # the weight permanent itself is still a valid probability numerator
-    weights = np.array([[0.69, 0.69], [0.2, 0.2]])
-    assert weight_permanent(weights) == pytest.approx(2 * 0.69 * 0.2, abs=1e-15)
-    monkeypatch.setattr("idamp.kernels.permanent_ryser", lambda a: complex(-5e-13))
-    assert weight_permanent(weights) == 0.0
-    monkeypatch.setattr("idamp.kernels.permanent_ryser", lambda a: complex(-2e-12))
+    weights = np.array([[[0.69, 0.69], [0.2, 0.2]]])
+    assert weight_permanent(weights) == pytest.approx([2 * 0.69 * 0.2], abs=1e-15)
+
+    def patched(value):
+        return lambda stack, exchange_class: np.full(len(stack), complex(value))
+
+    monkeypatch.setattr("idamp.kernels.n_particle_amplitudes", patched(-5e-13))
+    assert weight_permanent(weights).tolist() == [0.0]
+    monkeypatch.setattr("idamp.kernels.n_particle_amplitudes", patched(-2e-12))
     with pytest.raises(AmplitudeError, match="negative probability"):
         weight_permanent(weights)
 
@@ -341,6 +353,15 @@ def test_large_fermion_determinant_memory(rng):
     assert peak < 8 * m.nbytes
     m[:, n - 1] = m[:, 0]
     assert determinant(m) == 0j
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_single_boson_matrix_takes_single_walk(n, rng):
+    stack = np.array([unit_disk_matrix(rng, n) for _ in range(3)])
+    assert n_particle_amplitudes(stack[:1], BOSON)[0] == permanent_ryser(stack[0])
+    for m, value in zip(stack, n_particle_amplitudes(stack, BOSON)):
+        reference = permanent_ryser(m)
+        assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 def test_stacked_conjugation_equivariance_bitwise(rng):
